@@ -6,13 +6,14 @@
 //
 //	tnsim [-engine chip|compass] [-grid N] [-rate Hz] [-syn N] [-ticks N]
 //	      [-voltage V] [-tickrate Hz] [-workers N] [-stochastic]
-//	      [-outputs N] [-spikes-out FILE]
+//	      [-driven F] [-outputs N] [-spikes-out FILE] [-cpuprofile FILE]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	// Engine expressions self-register with the sim engine registry.
@@ -43,6 +44,7 @@ func main() {
 	tickrate := flag.Float64("tickrate", 1000, "operating tick rate (Hz); 1000 = real time")
 	workers := flag.Int("workers", 0, "compass workers (0 = GOMAXPROCS)")
 	stochastic := flag.Bool("stochastic", false, "enable stochastic threshold jitter")
+	driven := flag.Float64("driven", 0, "fraction of each core's neurons (0-1) built as leakless event-driven relays instead of tonic pacemakers")
 	seed := flag.Int64("seed", 1, "network seed")
 	save := flag.String("save", "", "write the generated model to this file and exit")
 	load := flag.String("load", "", "load the model from this file instead of generating one")
@@ -50,6 +52,7 @@ func main() {
 	saveState := flag.String("savestate", "", "write a checkpoint after the run (resume with -loadstate)")
 	loadState := flag.String("loadstate", "", "resume from a checkpoint before the run (same model and grid)")
 	force := flag.Bool("force", false, "run even when static model verification reports findings")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the warm-up and the measured run to this file")
 	flag.Parse()
 
 	mesh := router.Mesh{W: *grid, H: *grid}
@@ -77,7 +80,7 @@ func main() {
 	} else {
 		configs, err = netgen.Build(netgen.Params{
 			Grid: mesh, RateHz: *rate, SynPerNeuron: *syn, Seed: *seed, Stochastic: *stochastic,
-			OutputEvery: *outputs,
+			OutputEvery: *outputs, DrivenFraction: *driven,
 		})
 		if err != nil {
 			fail(err)
@@ -131,9 +134,13 @@ func main() {
 		*warmup = 0 // the checkpoint already carries settled state
 	}
 
+	// The profile covers stepping only: model build, verification and engine
+	// construction are over, and the report below is not in it.
+	stopProfile := startCPUProfile(*cpuProfile)
 	eng.Run(*warmup)
 	eng.DrainOutputs() // the recorded stream covers the measured window only
 	l := energy.MeasureLoad(eng, *ticks)
+	stopProfile()
 	if *spikesOut != "" {
 		f, ferr := os.Create(*spikesOut)
 		if ferr != nil {
@@ -197,6 +204,27 @@ func main() {
 		}
 		fmt.Println()
 		if err := diag.Summarize(eng).Fprint(os.Stdout); err != nil {
+			fail(err)
+		}
+	}
+}
+
+// startCPUProfile starts a CPU profile into path and returns the function
+// that stops it and closes the file; with an empty path both do nothing.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fail(err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
 			fail(err)
 		}
 	}

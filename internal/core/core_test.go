@@ -793,6 +793,17 @@ func TestWordSynEligibility(t *testing.T) {
 	if c.WordSynEligible() {
 		t.Error("potential at VMax with positive weights accepted for the word path")
 	}
+	// The potential check is per neuron: a neuron nothing feeds cannot be
+	// pushed over a rail, so it may sit on one.
+	cfg4 := wordTestConfig(1, false)
+	for a := range cfg4.Synapses {
+		cfg4.Synapses[a].Clear(0)
+	}
+	c = New(cfg4)
+	c.RestoreState(s)
+	if !c.WordSynEligible() {
+		t.Error("potential at VMax on a neuron with no synapses rejected for the word path")
+	}
 }
 
 // TestDeliverWrapContractAndDeliverAt is the regression test for the

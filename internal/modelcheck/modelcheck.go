@@ -148,11 +148,21 @@ type Options struct {
 	Suppressions []Suppression
 }
 
-// Check is one independently selectable analysis.
+// Check is one independently selectable analysis. Analyze walks the live
+// cores once, in row-major order, and runs every selected check's Core on a
+// core before moving to the next, so what the checks derive from a core's
+// crossbar (drive sums, potential intervals) is computed once into one reused
+// scratch and nothing is kept per core. State a check carries from core to
+// core, and into Finish, lives in the closures its constructor returns;
+// Checks builds a fresh suite per call.
 type Check struct {
 	Name string
 	Doc  string
-	Run  func(m *Model, report func(Diagnostic))
+	// Core analyses one populated, non-disabled core.
+	Core func(m *Model, c *coreView, report func(Diagnostic))
+	// Finish, when set, runs after the last core: model-level findings and
+	// summaries.
+	Finish func(m *Model, report func(Diagnostic))
 }
 
 // Checks returns the full tnverify suite.
@@ -219,22 +229,20 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Model is the analysis subject plus memoized derived state shared by the
-// checks. Construct with NewModel; checks read, never mutate.
+// Model is the analysis subject plus derived state shared by the checks.
+// Construct with NewModel; checks read, never mutate.
 type Model struct {
 	Mesh    router.Mesh
 	Configs []*core.Config
 	Opts    Options
 
 	dead map[router.Point]bool
+	// deadFn is the fault set as a router.DeadFunc, nil when it is empty.
+	deadFn router.DeadFunc
 	// driven[i] marks the axons of core slot i that at least one live
 	// neuron targets or an external input feeds.
 	driven []core.RowMask
-	// drives caches per-core per-neuron drive/fan-in aggregates.
-	drives map[int]*[core.NeuronsPerCore]neuronDrive
-	// intervals caches per-core potential-interval results.
-	intervals map[int]*[core.NeuronsPerCore]vInterval
-	// noc caches the nocload summary for the report.
+	// noc holds the nocload summary for the report.
 	noc NoCSummary
 }
 
@@ -248,17 +256,18 @@ func NewModel(mesh router.Mesh, configs []*core.Config, opts Options) (*Model, e
 		return nil, fmt.Errorf("modelcheck: %d configs for %d core slots", len(configs), n)
 	}
 	m := &Model{
-		Mesh:      mesh,
-		Configs:   configs,
-		Opts:      opts,
-		dead:      map[router.Point]bool{},
-		drives:    map[int]*[core.NeuronsPerCore]neuronDrive{},
-		intervals: map[int]*[core.NeuronsPerCore]vInterval{},
+		Mesh:    mesh,
+		Configs: configs,
+		Opts:    opts,
+		dead:    map[router.Point]bool{},
 	}
 	for _, p := range opts.Dead {
 		if mesh.Contains(p) {
 			m.dead[p] = true
 		}
+	}
+	if len(m.dead) > 0 {
+		m.deadFn = func(p router.Point) bool { return m.dead[p] }
 	}
 	m.buildDriven()
 	return m, nil
@@ -279,14 +288,6 @@ func (m *Model) at(x, y int) *core.Config {
 // live reports whether the core at p is populated and not fault-disabled.
 func (m *Model) live(p router.Point) bool {
 	return m.at(p.X, p.Y) != nil && !m.dead[p]
-}
-
-// deadFunc returns a router.DeadFunc for the fault set, or nil.
-func (m *Model) deadFunc() router.DeadFunc {
-	if len(m.dead) == 0 {
-		return nil
-	}
-	return func(p router.Point) bool { return m.dead[p] }
 }
 
 // eachLive calls f for every populated, non-disabled core in row-major
@@ -362,8 +363,17 @@ func Analyze(mesh router.Mesh, configs []*core.Config, opts Options) (*Report, e
 		}
 		diags = append(diags, d)
 	}
+	view := new(coreView)
+	m.eachLive(func(p router.Point, idx int, cfg *core.Config) {
+		view.reset(p, idx, cfg)
+		for _, c := range selected {
+			c.Core(m, view, report)
+		}
+	})
 	for _, c := range selected {
-		c.Run(m, report)
+		if c.Finish != nil {
+			c.Finish(m, report)
+		}
 	}
 	sortDiags(diags)
 	return &Report{Diags: diags, Suppressed: suppressed, NoC: m.noc}, nil

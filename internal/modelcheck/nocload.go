@@ -3,7 +3,6 @@ package modelcheck
 import (
 	"fmt"
 
-	"truenorth/internal/core"
 	"truenorth/internal/router"
 )
 
@@ -19,69 +18,70 @@ import (
 // detour routes, but per-link attribution is skipped (detour paths are an
 // engine implementation detail); the summary still bounds total traffic.
 func nocLoadCheck() *Check {
+	var s NoCSummary
+	// Directed link loads: for each core, one counter per exit direction
+	// (+x, -x, +y, -y).
+	dirs := [4]router.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
+	var links [][4]int32
 	return &Check{
 		Name: "nocload",
 		Doc:  "worst-case per-link packet loads along DOR routes, mean hop distance, and tile-boundary crossing pressure",
-		Run: func(m *Model, report func(Diagnostic)) {
-			var s NoCSummary
-			dead := m.deadFunc()
-			// Directed link loads: for each core, one counter per exit
-			// direction (+x, -x, +y, -y).
-			dirs := [4]router.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
-			links := make([][4]int32, m.Mesh.W*m.Mesh.H)
-
-			m.eachLive(func(p router.Point, idx int, cfg *core.Config) {
-				iv := m.neuronIntervals(idx, cfg)
-				for j := range cfg.Targets {
-					t := cfg.Targets[j]
-					if !t.Valid || t.Output || !iv[j].canFire {
-						continue
-					}
-					dst := p.Add(int(t.DX), int(t.DY))
-					if !m.Mesh.Contains(dst) || !m.live(dst) {
-						continue // routability's findings; nothing is delivered
-					}
-					s.Packets++
-					if dead != nil {
-						r := m.Mesh.RouteAvoiding(p, dst, dead)
-						if r.OK {
-							s.Hops += int64(r.Hops)
-							s.Crossings += int64(r.Crossings)
-						}
-						continue
-					}
-					// Walk the x-then-y DOR path, loading each directed link.
-					cur := p
-					for cur != dst {
-						var step router.Point
-						if cur.X != dst.X {
-							step = dirs[0]
-							if dst.X < cur.X {
-								step = dirs[1]
-							}
-						} else {
-							step = dirs[2]
-							if dst.Y < cur.Y {
-								step = dirs[3]
-							}
-						}
-						di := 0
-						for k, d := range dirs {
-							if d == step {
-								di = k
-							}
-						}
-						links[cur.Y*m.Mesh.W+cur.X][di]++
-						next := router.Point{X: cur.X + step.X, Y: cur.Y + step.Y}
-						s.Hops++
-						if m.Mesh.TileW > 0 && m.Mesh.TileH > 0 && m.Mesh.ChipOf(cur) != m.Mesh.ChipOf(next) {
-							s.Crossings++
-						}
-						cur = next
-					}
+		Core: func(m *Model, c *coreView, report func(Diagnostic)) {
+			if links == nil {
+				links = make([][4]int32, m.Mesh.W*m.Mesh.H)
+			}
+			p, cfg := c.p, c.cfg
+			iv := c.neuronIntervals(m)
+			for j := range cfg.Targets {
+				t := cfg.Targets[j]
+				if !t.Valid || t.Output || !iv[j].canFire {
+					continue
 				}
-			})
-
+				dst := p.Add(int(t.DX), int(t.DY))
+				if !m.Mesh.Contains(dst) || !m.live(dst) {
+					continue // routability's findings; nothing is delivered
+				}
+				s.Packets++
+				if m.deadFn != nil {
+					r := m.Mesh.RouteAvoiding(p, dst, m.deadFn)
+					if r.OK {
+						s.Hops += int64(r.Hops)
+						s.Crossings += int64(r.Crossings)
+					}
+					continue
+				}
+				// Walk the x-then-y DOR path, loading each directed link.
+				cur := p
+				for cur != dst {
+					var step router.Point
+					if cur.X != dst.X {
+						step = dirs[0]
+						if dst.X < cur.X {
+							step = dirs[1]
+						}
+					} else {
+						step = dirs[2]
+						if dst.Y < cur.Y {
+							step = dirs[3]
+						}
+					}
+					di := 0
+					for k, d := range dirs {
+						if d == step {
+							di = k
+						}
+					}
+					links[cur.Y*m.Mesh.W+cur.X][di]++
+					next := router.Point{X: cur.X + step.X, Y: cur.Y + step.Y}
+					s.Hops++
+					if m.Mesh.TileW > 0 && m.Mesh.TileH > 0 && m.Mesh.ChipOf(cur) != m.Mesh.ChipOf(next) {
+						s.Crossings++
+					}
+					cur = next
+				}
+			}
+		},
+		Finish: func(m *Model, report func(Diagnostic)) {
 			// Scan links in deterministic order for the hotspot and any
 			// over-capacity warnings.
 			for i := range links {

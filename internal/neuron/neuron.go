@@ -141,8 +141,8 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// clampV saturates v to the 20-bit signed membrane-potential range.
-func clampV(v int32) int32 {
+// ClampV saturates v to the 20-bit signed membrane-potential range.
+func ClampV(v int32) int32 {
 	if v > VMax {
 		return VMax
 	}
@@ -175,9 +175,9 @@ func (p *Params) Integrate(v int32, g uint8, rng *prng.LFSR) int32 {
 		case w < 0 && draw < -w:
 			v--
 		}
-		return clampV(v)
+		return ClampV(v)
 	}
-	return clampV(v + w)
+	return ClampV(v + w)
 }
 
 // ApplyLeak applies the per-tick leak to v and returns the new potential.
@@ -205,7 +205,7 @@ func (p *Params) ApplyLeak(v int32, rng *prng.LFSR) int32 {
 		case leak < 0 && draw < -leak:
 			v--
 		}
-		return clampV(v)
+		return ClampV(v)
 	}
 	if leak == 0 {
 		return v
@@ -217,7 +217,7 @@ func (p *Params) ApplyLeak(v int32, rng *prng.LFSR) int32 {
 			nv = 0
 		}
 	}
-	return clampV(nv)
+	return ClampV(nv)
 }
 
 // ThresholdFire performs the threshold comparison, firing, reset, and
@@ -249,7 +249,7 @@ func (p *Params) ThresholdFire(v int32, rng *prng.LFSR) (int32, bool) {
 			v = -p.ResetV
 		}
 	}
-	return clampV(v), fired
+	return ClampV(v), fired
 }
 
 // Step runs a full neuron update for one tick given the number of synaptic

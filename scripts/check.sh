@@ -49,6 +49,11 @@
 #                      goroutine-per-session) hold paced sessions at rate
 #                      with the command-latency probe running, and the
 #                      BENCH_SERVE JSON report must land
+#  12. benchmark     — vet and smoke-test benchmark/, a module of its own
+#                      that root `go build ./...` does not see: it compiles
+#                      against the product's API, so this is where a
+#                      refactor that breaks the frozen surface (ROADMAP,
+#                      "How to land something") fails
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -128,5 +133,8 @@ go run ./cmd/tnbench -smoke -q -o "$bench_out"
 
 echo "==> bench-serve smoke (tnbench serving sweep, both servicer arms)"
 go run ./cmd/tnbench -serve -smoke -q -o "$serve_bench_out"
+
+echo "==> benchmark (go vet + smoke test of the benchmark module)"
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "==> all checks passed"
