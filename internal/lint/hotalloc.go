@@ -7,8 +7,8 @@ import (
 )
 
 // HotPackages hold the per-tick kernel hot path: the two engine
-// expressions, the core state machine, the neuron arithmetic, and the mesh
-// router. Session pacing (internal/runtime) is deliberately outside this
+// expressions and the dispatch table they share (internal/sim), the core
+// state machine, the neuron arithmetic, and the mesh router. Session pacing (internal/runtime) is deliberately outside this
 // set — it owns the wall clock — but everything it calls per tick is in it.
 var HotPackages = []string{
 	Module + "/internal/chip",
@@ -16,6 +16,7 @@ var HotPackages = []string{
 	Module + "/internal/core",
 	Module + "/internal/neuron",
 	Module + "/internal/router",
+	Module + "/internal/sim",
 }
 
 // hotFuncNames are the functions that run every tick (or every spike, which

@@ -16,8 +16,9 @@
 #   chip    — 0, exactly: the sequential kernel must not touch the heap
 #             per tick. tnproof statically proves the hot set is
 #             escape-free; this pins the dynamic side to match.
-#   compass — 20 (measures 18): the parallel engine spawns one goroutine
-#             + one emit closure per worker per tick (4 workers here), an
+#   compass — 10 (measures 8): the parallel engine starts two goroutines per
+#             worker per tick (compute phase, delivery phase; 4 workers
+#             here), each one allocation for its argument frame — the
 #             inherent cost of its fork-join tick. The slack absorbs
 #             scheduler-dependent variance only.
 #
@@ -28,7 +29,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 CHIP_BUDGET=${CHIP_BUDGET:-0}
-COMPASS_BUDGET=${COMPASS_BUDGET:-20}
+COMPASS_BUDGET=${COMPASS_BUDGET:-10}
 RATCHET_SLACK=${RATCHET_SLACK:-2}
 
 out=$(go test -run '^$' -bench '^BenchmarkPerTickAllocs$' -benchmem -benchtime 2000x .)
