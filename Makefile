@@ -1,9 +1,9 @@
 # Verification entry points; scripts/check.sh is the single source of truth
 # for what "green" means (build + vet + tnlint + proof + verify-models +
-# tests + race + allocs-gate + serve-smoke + bench-smoke +
-# bench-serve-smoke).
+# tests + race + allocs-gate + serve-smoke + the benchmark module's vet and
+# smoke test). The benchmark itself is `bash benchmark/run.sh`.
 
-.PHONY: check build test lint api-gate api-gate-update proof proof-update verify-models race race-stress allocs-gate serve-smoke bench bench-smoke bench-serve bench-serve-smoke
+.PHONY: check build test lint api-gate api-gate-update proof proof-update verify-models race race-stress allocs-gate serve-smoke
 
 check:
 	./scripts/check.sh
@@ -69,26 +69,3 @@ allocs-gate:
 # byte-identical to batch tnsim runs on both engines.
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-# Full throughput sweep over the paper's operating grid (rate x synapses,
-# three cross-checked arms per point); writes BENCH_<date>.json at the repo
-# root — the perf-trajectory evidence file.
-bench:
-	go run ./cmd/tnbench
-
-# Small tnbench configuration: proves the harness end to end (arms agree,
-# report well-formed) in seconds; the report goes to a temp file.
-bench-smoke:
-	go run ./cmd/tnbench -smoke -o "$$(mktemp)"
-
-# Serving-plane sweep: concurrent paced sessions x aggregate ticks/sec x
-# p99 command latency, pooled timing-wheel scheduler vs the legacy
-# goroutine-per-session arm; writes BENCH_SERVE_<date>.json at the repo
-# root — the capacity evidence file for the batched scheduler.
-bench-serve:
-	go run ./cmd/tnbench -serve
-
-# Small serving sweep: both arms, two tiny points, sub-second windows —
-# proves the serving harness and report schema without capacity claims.
-bench-serve-smoke:
-	go run ./cmd/tnbench -serve -smoke -o "$$(mktemp)"

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tnserved [-addr host:port] [-max-sessions N] [-max-rate HZ] [-workers N]
-//	         [-engine chip|compass] [-legacy-sessions]
+//	         [-engine chip|compass]
 //
 // The listen address is printed once the socket is bound, so scripts can
 // use -addr 127.0.0.1:0 and parse the assigned port.
@@ -45,7 +45,6 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 0, "maximum concurrently live sessions (0 = scheduler default)")
 	maxRate := flag.Float64("max-rate", 0, "aggregate paced ticks/sec admitted across all sessions (0 = unlimited)")
 	workers := flag.Int("workers", 0, "scheduler worker pool size (0 = GOMAXPROCS)")
-	legacy := flag.Bool("legacy-sessions", false, "run each session on its own goroutine instead of the shared scheduler")
 	engine := flag.String("engine", "compass", "default engine for sessions that don't pick one: "+strings.Join(sim.EngineNames(), "|"))
 	drain := flag.Duration("drain", 5*time.Second, "how long to wait for in-flight requests on shutdown")
 	flag.Parse()
@@ -54,7 +53,6 @@ func main() {
 		MaxSessions:    *maxSessions,
 		MaxTicksPerSec: *maxRate,
 		Workers:        *workers,
-		LegacySessions: *legacy,
 		DefaultEngine:  *engine,
 	})
 	ln, err := net.Listen("tcp", *addr)

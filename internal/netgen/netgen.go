@@ -66,7 +66,8 @@ type Params struct {
 	// the PRNG stream are identical at any fraction; only the overridden
 	// neuron dynamics change. The resulting workload is sparse in time —
 	// most neurons idle until synaptic input arrives — which is the regime
-	// the active-neuron Neuron-phase kernel accelerates; tnbench sweeps it.
+	// the active-neuron Neuron-phase kernel accelerates, and the benchmark's
+	// batch workloads run it.
 	DrivenFraction float64
 	// OutputEvery, when positive, taps the network for external
 	// observation: every OutputEvery-th neuron of each core (indices 0,
@@ -122,13 +123,12 @@ func threshold(rateHz float64) int32 {
 	return int32(leak*1000/rateHz + 0.5)
 }
 
-// PacemakersPerCore returns the number of tonic pacemaker neurons per core at
+// pacemakersPerCore returns the number of tonic pacemaker neurons per core at
 // the given driven fraction — the complement of the relays Build converts.
 // Only these neurons hold the programmed firing rate; relays fire on synaptic
 // drive alone, so rate measurements normalized over the whole population
-// understate the pace by exactly the driven fraction (tnbench normalizes its
-// pacemaker_rate_hz with this count).
-func PacemakersPerCore(drivenFraction float64) int {
+// understate the pace by exactly the driven fraction.
+func pacemakersPerCore(drivenFraction float64) int {
 	return core.NeuronsPerCore - int(drivenFraction*core.NeuronsPerCore+0.5)
 }
 
@@ -152,7 +152,7 @@ func Build(p Params) ([]*core.Config, error) {
 	}
 
 	// Neurons j >= pacemakers in every core become driven relays.
-	pacemakers := PacemakersPerCore(p.DrivenFraction)
+	pacemakers := pacemakersPerCore(p.DrivenFraction)
 
 	configs := make([]*core.Config, nCores)
 	scratch := make([]int, core.AxonsPerCore)

@@ -266,7 +266,7 @@ func TestDrivenFractionValidated(t *testing.T) {
 func TestDrivenNetworkStaysActiveAndSparse(t *testing.T) {
 	// A mostly-driven network must still spike (the relays participate in
 	// the recurrent dynamics) while evaluating far fewer neurons per tick
-	// than a dense scan — the workload tnbench sweeps.
+	// than a dense scan — the workload the benchmark's batch runs use.
 	grid := router.Mesh{W: 2, H: 2}
 	// A sparse operating point: at high rate × high fan-in nearly every
 	// neuron is touched every tick and the mask saves nothing (as the

@@ -3,7 +3,7 @@
 // a batch job: it runs continuously at a 1 ms tick, consuming streaming
 // spike input and emitting streaming spike output, and the operating point
 // is a *rate* (Section V sweeps 0.012× to ≈15.4× real time). A Session
-// owns one sim.Engine on a dedicated goroutine with a command loop:
+// owns one sim.Engine and offers:
 //
 //   - context-aware Run / Pause / Resume / Step;
 //   - streaming spike injection and output drains, over channels or calls;
@@ -21,11 +21,11 @@
 // checkpoint-and-restored run emits the exact spike stream of an
 // uninterrupted one (the determinism suite verifies this spike-for-spike).
 //
-// The servicer comes in two shapes with identical observable semantics:
-// the legacy dedicated goroutine per session (the default), and the
-// pooled Scheduler (WithScheduler), where a fixed worker set steps batches
-// of due sessions off a hashed timing wheel — the shape that scales to
-// thousands of paced sessions per host. See scheduler.go.
+// The servicer is a Scheduler: a fixed worker set stepping batches of due
+// sessions off a hashed timing wheel, the shape that scales to thousands
+// of paced sessions per host (see scheduler.go). Sessions share one with
+// WithScheduler; a session created without one gets a one-worker
+// scheduler of its own, released by Close.
 //
 // This package is deliberately outside the kernel-package set that tnlint
 // holds to bitwise determinism: pacing needs the wall clock and the driver
@@ -87,30 +87,24 @@ func WithAutoCheckpoint(every uint64, open func(tick uint64) (io.WriteCloser, er
 	return func(s *Session) { s.ckptEvery, s.ckptOpen = every, open }
 }
 
-// WithInputBuffer sets the capacity of the streaming-injection channel
-// (default 256).
-func WithInputBuffer(n int) Option {
-	return func(s *Session) {
-		if n > 0 {
-			s.inputBuf = n
-		}
-	}
-}
-
-// WithScheduler places the session on a shared Scheduler instead of a
-// dedicated goroutine: pacing and dispatch are pooled across every session
-// the scheduler carries, with identical command/stream semantics. New then
+// WithScheduler places the session on a shared Scheduler: pacing and
+// dispatch are pooled across every session the scheduler carries. New then
 // enforces the scheduler's admission control and can return ErrSaturated
 // or ErrSchedulerClosed.
 func WithScheduler(d *Scheduler) Option {
 	return func(s *Session) { s.sched = d }
 }
 
-// schedCmdBuf is the command-channel capacity of scheduler-mode sessions.
-// The legacy loop rendezvouses on an unbuffered channel; a pooled session
-// has no dedicated receiver, so commands buffer until a worker drains them
-// (do still wakes the session on every enqueue).
-const schedCmdBuf = 64
+// cmdBuf is the command-channel capacity. A session has no dedicated
+// receiver, so commands buffer until a worker drains them (do wakes the
+// session on every enqueue); 64 lets the concurrent clients of one session
+// enqueue without waiting for a dispatch, and bounds one drain. inputBuf
+// is the streaming-injection channel's: a quarter second of one event per
+// tick at real time, so a live source rides out a busy worker.
+const (
+	cmdBuf   = 64
+	inputBuf = 256
+)
 
 // subscriber is one streaming output listener.
 type subscriber struct {
@@ -120,36 +114,35 @@ type subscriber struct {
 
 // Session drives one engine as a long-lived, concurrent, observable
 // simulation. All methods are safe for concurrent use; every operation is
-// serialized onto the session goroutine and executes between ticks.
+// serialized onto the session's servicer and executes between ticks.
 type Session struct {
 	eng       sim.Engine
 	ckpt      model.CheckpointableEngine // nil when unsupported
 	neurons   int
 	populated int
-	inputBuf  int
 
 	cmds   chan func()
 	inputs chan spikeio.Event
-	done   chan struct{} // closed when the servicer has exited
+	done   chan struct{} // closed by the dispatch that retires the session
 
-	// Scheduler mode (sched != nil): schedState is the ready/running state
-	// machine (see scheduler.go), pendMu/pendIn buffer watcher-delivered
-	// streamed inputs, and watchOnce lazily starts the input watcher.
+	// sched services the session (ownSched: created by New, closed by
+	// Close); schedState is its ready/running state machine (see
+	// scheduler.go), pendMu/pendIn buffer watcher-delivered streamed
+	// inputs, and watchOnce lazily starts the input watcher.
 	sched      *Scheduler
+	ownSched   bool
 	schedState atomic.Int32
 	pendMu     sync.Mutex
 	pendIn     []spikeio.Event
 	watchOnce  sync.Once
 
-	// Everything below is owned by the servicer: the session goroutine in
-	// legacy mode, or whichever scheduler worker holds the session's
-	// Running state in pooled mode (mutual exclusion by the state machine).
+	// Everything below is owned by whichever scheduler worker holds the
+	// session's Running state (mutual exclusion by the state machine).
 	running   bool
 	target    uint64
 	waiters   []chan error
 	rateHz    float64
-	deadline  time.Time   // next tick deadline when paced; zero = resync
-	pacer     *time.Timer // reused across paced waits; nil until first wait
+	deadline  time.Time // next tick deadline when paced; zero = resync
 	outputs   []sim.OutputSpike
 	subs      map[int]*subscriber
 	subSeq    int
@@ -161,17 +154,18 @@ type Session struct {
 	ckptErr   error
 }
 
-// New wraps eng in a session and hands it to its servicer — a dedicated
-// driver goroutine by default, or a shared Scheduler with WithScheduler.
-// The caller must not touch eng directly afterwards: the session owns it
-// until Close. In scheduler mode New enforces admission control and can
-// fail with ErrSaturated or ErrSchedulerClosed; legacy sessions always
-// admit.
+// New wraps eng in a session and hands it to its scheduler: the shared
+// one given by WithScheduler, or else a one-worker scheduler the session
+// owns. The caller must not touch eng directly afterwards: the session
+// owns it until Close. A shared scheduler enforces admission control, so
+// New can fail with ErrSaturated or ErrSchedulerClosed.
 func New(eng sim.Engine, opts ...Option) (*Session, error) {
 	s := &Session{
-		eng:      eng,
-		inputBuf: 256,
-		subs:     map[int]*subscriber{},
+		eng:    eng,
+		subs:   map[int]*subscriber{},
+		cmds:   make(chan func(), cmdBuf),
+		inputs: make(chan spikeio.Event, inputBuf),
+		done:   make(chan struct{}),
 	}
 	s.ckpt, _ = eng.(model.CheckpointableEngine)
 	mesh := eng.Mesh()
@@ -189,126 +183,14 @@ func New(eng sim.Engine, opts ...Option) (*Session, error) {
 	if s.rateHz < 0 || math.IsNaN(s.rateHz) || math.IsInf(s.rateHz, 0) {
 		s.rateHz = 0
 	}
-	s.inputs = make(chan spikeio.Event, s.inputBuf)
-	s.done = make(chan struct{})
-	if s.sched != nil {
-		s.cmds = make(chan func(), schedCmdBuf)
-		if err := s.sched.register(s); err != nil {
-			close(s.done) // nothing services this session; fail do() fast
-			return nil, err
-		}
-		return s, nil
+	if s.sched == nil {
+		s.sched, s.ownSched = NewScheduler(SchedulerConfig{Workers: 1, MaxSessions: 1}), true
 	}
-	s.cmds = make(chan func())
-	go s.loop()
+	// Only a shared scheduler refuses: an owned one is empty and unlimited.
+	if err := s.sched.register(s); err != nil {
+		return nil, err
+	}
 	return s, nil
-}
-
-// loop is the session goroutine: it interleaves command execution,
-// streamed-input delivery, and paced ticking, with commands only ever
-// running between ticks.
-func (s *Session) loop() {
-	// done has one closer per servicer shape, serialized by construction:
-	// New's failure path closes it only when registration failed (no loop
-	// was started and no scheduler owns the session), this loop only in
-	// legacy mode (s.sched == nil, so dispatch never runs), and dispatch
-	// only in scheduler mode (no loop goroutine exists).
-	//lint:ignore tnlint/chanflow exactly one closer exists per session: the failed-New path, this legacy loop, or the scheduler dispatch — selected once at construction
-	defer close(s.done)
-	defer func() {
-		if s.pacer != nil {
-			s.pacer.Stop()
-		}
-	}()
-	for !s.closing {
-		if !s.running {
-			select {
-			case fn := <-s.cmds:
-				fn()
-			case e := <-s.inputs:
-				s.handleInput(e)
-			}
-			continue
-		}
-		if s.eng.Tick() >= s.target {
-			s.finishRun(nil)
-			continue
-		}
-		if s.rateHz > 0 {
-			if s.deadline.IsZero() {
-				s.deadline = time.Now()
-			}
-			if wait := time.Until(s.deadline); wait > 0 {
-				s.armPacer(wait)
-				select {
-				case fn := <-s.cmds:
-					fn()
-					continue
-				case e := <-s.inputs:
-					s.handleInput(e)
-					continue
-				case <-s.pacer.C:
-				}
-			} else {
-				// Behind schedule: the per-tick compute exceeds the period,
-				// so the deadline wait never opens. Commands and inputs must
-				// still get a slot between ticks — otherwise a session asked
-				// to run faster than the host can go becomes uncontrollable
-				// (Pause/Close would starve forever).
-				select {
-				case fn := <-s.cmds:
-					fn()
-					continue
-				case e := <-s.inputs:
-					s.handleInput(e)
-					continue
-				default:
-				}
-			}
-			s.deadline = s.deadline.Add(time.Duration(float64(time.Second) / s.rateHz))
-			if time.Since(s.deadline) > time.Second {
-				// Fell more than a second behind (host stall, rate beyond
-				// the host's reach): resynchronize instead of sprinting.
-				s.deadline = time.Now()
-			}
-		} else {
-			select {
-			case fn := <-s.cmds:
-				fn()
-				continue
-			case e := <-s.inputs:
-				s.handleInput(e)
-				continue
-			default:
-			}
-		}
-		s.step()
-	}
-	s.finishRun(ErrClosed)
-	for _, sub := range s.subs {
-		close(sub.ch)
-	}
-	s.subs = nil
-}
-
-// armPacer readies the reused pacing timer for one wait. A fresh
-// time.Timer per tick would allocate at the pacing rate (20 kHz for a
-// TrueNorth-speed session), so the session keeps one timer and re-arms
-// it. Only the session goroutine touches the timer, so the non-blocking
-// drain before Reset cannot race with the loop's own receive.
-func (s *Session) armPacer(wait time.Duration) {
-	if s.pacer == nil {
-		s.pacer = time.NewTimer(wait)
-		return
-	}
-	if !s.pacer.Stop() {
-		// Already fired: clear any undelivered tick so Reset starts clean.
-		select {
-		case <-s.pacer.C:
-		default:
-		}
-	}
-	s.pacer.Reset(wait)
 }
 
 // step advances one tick and fans captured outputs out to the drain buffer
@@ -320,10 +202,10 @@ func (s *Session) step() {
 		for _, sub := range s.subs {
 			for _, o := range out {
 				select {
-				// lint:ignore is on the case line: the send and loop's
-				// close both run on the session goroutine, so program
-				// order serializes send-before-close.
-				case sub.ch <- o: //lint:ignore tnlint/chanflow send and close both run on the session goroutine (step is called only from loop); program order makes every send happen-before the close
+				// lint:ignore is on the case line: the send and every close
+				// of sub.ch run on the session's servicer, so program order
+				// serializes send-before-close.
+				case sub.ch <- o: //lint:ignore tnlint/chanflow step runs only inside service, and both closes of sub.ch (cancel through do, shutdown) run on the same servicer; program order makes every send happen-before the close
 				default:
 					sub.dropped++
 				}
@@ -410,17 +292,15 @@ func (s *Session) autoCheckpoint() {
 	s.ckptTick, s.ckptErr = s.eng.Tick(), nil
 }
 
-// do runs fn on the session goroutine and waits for it. It returns
-// ErrClosed if the session is (or becomes) closed before fn runs, or
+// do runs fn on the session's servicer, between ticks, and waits for it.
+// It returns ErrClosed if the session is (or becomes) closed before fn runs, or
 // ctx.Err() on cancellation — in which case fn may still execute later, so
 // fn must communicate results through buffered channels only.
 func (s *Session) do(ctx context.Context, fn func()) error {
 	ran := make(chan struct{})
 	select {
 	case s.cmds <- func() { fn(); close(ran) }:
-		if s.sched != nil {
-			s.wake() // a pooled session has no dedicated receiver
-		}
+		s.wake()
 	case <-s.done:
 		return ErrClosed
 	case <-ctx.Done():
@@ -446,7 +326,7 @@ func (s *Session) do(ctx context.Context, fn func()) error {
 // session closes (ErrClosed), or ctx is done — in which case the in-flight
 // run is paused and ctx.Err() returned.
 func (s *Session) Run(ctx context.Context, ticks int) error {
-	// The target is computed on the session goroutine, in the same closure
+	// The target is computed on the servicer, in the same closure
 	// that starts the run: reading Tick() in a separate command would let
 	// another client's command land between the read and the start and
 	// shift the segment by however many ticks it advanced.
@@ -464,8 +344,8 @@ func (s *Session) RunUntil(ctx context.Context, targetTick uint64) error {
 	return s.runToward(ctx, func() uint64 { return targetTick })
 }
 
-// runToward starts a run segment toward target() — evaluated on the session
-// goroutine, atomically with the start — and blocks like Run/RunUntil.
+// runToward starts a run segment toward target() — evaluated on the
+// servicer, atomically with the start — and blocks like Run/RunUntil.
 func (s *Session) runToward(ctx context.Context, target func() uint64) error {
 	wait := make(chan error, 1)
 	started := make(chan error, 1)
@@ -578,21 +458,19 @@ func (s *Session) Tick(ctx context.Context) (uint64, error) {
 	return <-res, nil
 }
 
-// SetTickRate changes pacing: hz ticks per second, 0 = free-running. In
-// scheduler mode the new rate passes admission control against the
-// aggregate ticks/sec budget and can be refused with ErrSaturated (the
-// old rate stays in effect).
+// SetTickRate changes pacing: hz ticks per second, 0 = free-running. The
+// new rate passes the scheduler's admission control against its aggregate
+// ticks/sec budget and can be refused with ErrSaturated (the old rate
+// stays in effect).
 func (s *Session) SetTickRate(ctx context.Context, hz float64) error {
 	if hz < 0 || math.IsNaN(hz) || math.IsInf(hz, 0) {
 		return fmt.Errorf("runtime: invalid tick rate %v", hz)
 	}
 	res := make(chan error, 1)
 	err := s.do(ctx, func() {
-		if s.sched != nil {
-			if err := s.sched.reserveRate(s.rateHz, hz); err != nil {
-				res <- err
-				return
-			}
+		if err := s.sched.reserveRate(s.rateHz, hz); err != nil {
+			res <- err
+			return
 		}
 		s.rateHz = hz
 		s.deadline = time.Time{}
@@ -645,13 +523,11 @@ func (s *Session) InjectEvents(ctx context.Context, events []spikeio.Event) (int
 // (spikeio addressing) consumed by the servicer between ticks, the
 // channel expression of InjectEvents for callers that feed a live source.
 // Past-tick and invalid events increment Stats.DroppedInputs. The caller
-// must not close the channel and must not send after Close. In scheduler
-// mode the first call lazily starts an input watcher that wakes the
-// session as events arrive.
+// must not close the channel and must not send after Close. The first
+// call lazily starts an input watcher that wakes the session as events
+// arrive.
 func (s *Session) Inputs() chan<- spikeio.Event {
-	if s.sched != nil {
-		s.watchOnce.Do(func() { go s.watchInputs() })
-	}
+	s.watchOnce.Do(func() { go s.watchInputs() })
 	return s.inputs
 }
 
@@ -692,7 +568,6 @@ func (s *Session) Subscribe(ctx context.Context, buf int) (<-chan sim.OutputSpik
 		s.do(context.Background(), func() { //nolint:errcheck // closed session already closed the channel
 			if _, ok := s.subs[id]; ok {
 				delete(s.subs, id)
-				//lint:ignore tnlint/chanflow both close sites run on the session goroutine (do serializes onto loop) and are exclusive: cancel closes only while the sub is registered, loop's shutdown close runs after removing every sub
 				close(sub.ch)
 			}
 		})
@@ -795,7 +670,7 @@ func (s *Session) Stats(ctx context.Context) (Stats, error) {
 	return <-res, nil
 }
 
-// snapshot runs on the session goroutine.
+// snapshot runs on the servicer.
 func (s *Session) snapshot() Stats {
 	st := Stats{
 		Tick:           s.eng.Tick(),
@@ -831,14 +706,18 @@ func (s *Session) snapshot() Stats {
 	return st
 }
 
-// Close stops the driver goroutine, releases subscribers, and fails all
-// pending waiters with ErrClosed. Closing twice is a no-op. The underlying
-// engine is left at its final state and may be used directly afterwards.
+// Close retires the session from its scheduler (and stops the scheduler
+// when the session owns it), releases subscribers, and fails all pending
+// waiters with ErrClosed. Closing twice is a no-op. The underlying engine
+// is left at its final state and may be used directly afterwards.
 func (s *Session) Close() error {
 	err := s.do(context.Background(), func() { s.closing = true })
 	if err != nil && !errors.Is(err, ErrClosed) {
 		return err
 	}
 	<-s.done
+	if s.ownSched {
+		s.sched.Close()
+	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -40,20 +39,8 @@ func relayEngine(t *testing.T) sim.Engine {
 	return eng
 }
 
-// schedMode reruns every newSession-based test through a pooled Scheduler
-// instead of the legacy per-session goroutine. The two servicers promise
-// identical observable semantics, so the whole behavioral suite doubles as
-// scheduler coverage: scripts/race_stress.sh runs the package once more
-// with TN_RUNTIME_SCHED=1.
-var schedMode = os.Getenv("TN_RUNTIME_SCHED") == "1"
-
 func newSession(t *testing.T, opts ...rt.Option) *rt.Session {
 	t.Helper()
-	if schedMode {
-		d := rt.NewScheduler(rt.SchedulerConfig{})
-		t.Cleanup(d.Close)
-		opts = append(opts[:len(opts):len(opts)], rt.WithScheduler(d))
-	}
 	s, err := rt.New(relayEngine(t), opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +199,8 @@ func TestStartPauseResumeWait(t *testing.T) {
 // TestOverloadedPacedSessionStaysControllable pins the regression where a
 // paced session whose host cannot sustain the requested rate stopped
 // polling commands and inputs: with the per-tick compute exceeding the
-// period, the deadline wait never opened, so Pause (and Close behind it)
-// starved forever. At 1e9 Hz every tick is behind schedule by
+// period, the session was never ahead of schedule, so Pause (and Close
+// behind it) starved forever. At 1e9 Hz every tick is behind schedule by
 // construction.
 func TestOverloadedPacedSessionStaysControllable(t *testing.T) {
 	ctx := context.Background()
@@ -221,7 +208,7 @@ func TestOverloadedPacedSessionStaysControllable(t *testing.T) {
 	if err := s.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // let the loop fall behind schedule
+	time.Sleep(5 * time.Millisecond) // let the session fall behind schedule
 	// Streamed inputs must still be consumed between ticks.
 	s.Inputs() <- spikeio.Event{Tick: ^uint64(0) - 1, ID: spikeio.Encode(0, 0, 0)}
 	done := make(chan error, 1)
@@ -235,7 +222,7 @@ func TestOverloadedPacedSessionStaysControllable(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Pause starved by an overloaded paced run loop")
+		t.Fatal("Pause starved by an overloaded paced run")
 	}
 	// The streamed event's delay is far out of range, so its consumption
 	// is visible as a dropped-input count.
@@ -369,7 +356,7 @@ func TestStreamingInputsAndSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stream an input for absolute tick 50 — 100 ms of pacing away, far
-	// beyond the loop's input-consumption latency.
+	// beyond the session's input-consumption latency.
 	s.Inputs() <- spikeio.Event{Tick: 50, ID: spikeio.Encode(0, 0, 0)}
 	select {
 	case o, ok := <-sub:
@@ -406,7 +393,7 @@ func TestPastTickStreamedInputsAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Inputs() <- spikeio.Event{Tick: 3, ID: spikeio.Encode(0, 0, 0)}
-	// The loop consumes inputs while idle; poll until the counter moves.
+	// The session consumes inputs while idle; poll until the counter moves.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st, err := s.Stats(ctx)
@@ -431,7 +418,7 @@ func TestOverflowingStreamedInputsAreCounted(t *testing.T) {
 	}
 	const now = uint64(10)
 	in := s.Inputs()
-	// The loop consumes the channel in order: the largest representable
+	// The session consumes the channel in order: the largest representable
 	// delivery delta must be accepted, the two events behind it dropped —
 	// one for overflowing the int delay conversion, one for being in the
 	// past.
@@ -533,7 +520,7 @@ func TestSlowSubscriberDropsNotStalls(t *testing.T) {
 	}
 	defer cancel()
 	// Two spikes on different ticks against a capacity-1 unread channel:
-	// the second must be dropped, not block the loop.
+	// the second must be dropped, not block the servicer.
 	if err := s.Inject(ctx, 0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +667,7 @@ func TestTickRateValidation(t *testing.T) {
 }
 
 // TestConcurrentAccess hammers one session from many goroutines — the
-// -race suite's target for the command-loop serialization.
+// -race suite's target for the command serialization.
 func TestConcurrentAccess(t *testing.T) {
 	leakcheck.Check(t)
 	ctx := context.Background()
@@ -715,11 +702,10 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestPacedLoopSurvivesCommandBursts(t *testing.T) {
 	leakcheck.Check(t)
-	// The paced wait reuses one timer across ticks. Two regressions would
-	// show up here: a stale fire left in the timer channel after a command
-	// wins the select (pacing would collapse to free-running), and a
-	// blocking drain before re-arm (the loop would hang on the first
-	// command-interrupted wait).
+	// Every command wakes a parked paced session early. Two regressions
+	// would show up here: a command wake that steps ticks before their
+	// deadline (pacing would collapse to free-running), and a wake lost
+	// while the session is parked (the run would hang).
 	ctx := context.Background()
 	s := newSession(t, rt.WithTickRate(100))
 	runDone := make(chan error, 1)
@@ -758,7 +744,7 @@ func TestPacedLoopSurvivesCommandBursts(t *testing.T) {
 		t.Fatalf("paced run of 20 ticks at 100 Hz took only %v under command load", took)
 	}
 	<-stats
-	// The loop must still pace and respond after the burst.
+	// The session must still pace and respond after the burst.
 	if err := s.Step(ctx); err != nil {
 		t.Fatal(err)
 	}

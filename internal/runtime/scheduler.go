@@ -1,26 +1,26 @@
-// Scheduler: a shared many-session dispatcher. PR 3 gave every Session a
-// dedicated goroutine plus a pacing timer; that shape drowns in scheduler
-// and timer churn once a host carries thousands of mostly-small paced sims
-// — the dominant serving workload in the paper's operating space, where a
-// real-time session ticks at just 1 kHz and each tick costs microseconds.
-// Compass scales the other way: a fixed worker set batching many cores'
-// worth of work per thread. The Scheduler brings that shape to sessions:
+// Scheduler: the servicer of every Session. A goroutine and a pacing timer
+// per session drown in scheduler and timer churn once a host carries
+// thousands of mostly-small paced sims — the dominant serving workload in
+// the paper's operating space, where a real-time session ticks at just
+// 1 kHz and each tick costs microseconds. Compass scales the other way: a
+// fixed worker set batching many cores' worth of work per thread. The
+// Scheduler brings that shape to sessions:
 //
 //   - a hashed timing wheel holds every paced session's next wake time;
 //   - a clock goroutine advances the wheel once per wheel tick and moves
 //     due sessions onto a ready queue;
 //   - a fixed worker pool (default GOMAXPROCS) services the ready queue,
-//     stepping each due session in a batch — all ticks due now, capped by
-//     a per-dispatch budget — before parking it back on the wheel;
-//   - sessions paced finer than the pacing quantum are woken once per
-//     quantum and step the whole quantum's ticks in one dispatch, so a
-//     1 kHz session costs ~200 wakeups/s instead of 1000.
+//     stepping each due session in a batch — all ticks due now, cut off by
+//     the 2 ms service budget — before parking it back on the wheel;
+//   - sessions paced finer than the 20 ms pacing quantum are woken once
+//     per quantum and step the whole quantum's ticks in one dispatch, so a
+//     1 kHz session costs 50 wakeups/s instead of 1000.
 //
-// Session semantics are unchanged: a session is still serviced by exactly
-// one goroutine at a time (the state machine below guarantees it), so the
-// engine remains single-threaded and commands still land only between
-// ticks. Free-run sessions cannot starve paced ones: they step a bounded
-// quantum per dispatch and requeue at the tail.
+// A session is serviced by exactly one goroutine at a time (the state
+// machine below guarantees it), so the engine remains single-threaded and
+// commands land only between ticks. No session can hold a worker hostage:
+// a dispatch that exhausts its budget — free-running, behind schedule, or
+// kept busy by a stream of commands — requeues at the tail.
 //
 // Admission control bounds the load a scheduler accepts: a session count
 // cap and an aggregate paced ticks/sec cap. Both reject with ErrSaturated,
@@ -77,30 +77,6 @@ type SchedulerConfig struct {
 	// MaxTicksPerSec caps the sum of paced session rates admitted
 	// (0 = unlimited). Free-running sessions count 0 against it.
 	MaxTicksPerSec float64
-	// WheelTick is the timing-wheel granularity (default 1ms) — the pacing
-	// jitter floor.
-	WheelTick time.Duration
-	// WheelSlots is the wheel size, rounded up to a power of two (default
-	// 512). The horizon is WheelSlots×WheelTick; later deadlines simply
-	// survive extra laps.
-	WheelSlots int
-	// PacingQuantum batches paced sessions whose period is finer than this
-	// into one wakeup per quantum (default 20ms): a session paced at rate R
-	// with period p < quantum is woken every ⌊quantum/p⌋ periods and steps
-	// that many ticks per dispatch. Pacing stays exact in the mean; burst
-	// jitter is bounded by the quantum. The quantum only delays ticks —
-	// commands wake a parked session immediately — so it trades output
-	// burstiness for per-dispatch overhead, which is what bounds how many
-	// real-time sessions one host sustains (at 1000 Hz, 20ms means 20
-	// ticks per dispatch instead of the wheel-tick floor's 1).
-	PacingQuantum time.Duration
-	// ServiceBudget bounds worker time per dispatch (default 2ms): a
-	// session with more due work than the budget is cut off and requeued
-	// at the tail, so no session can hold a worker hostage.
-	ServiceBudget time.Duration
-	// FreeRunTicks bounds ticks per dispatch for free-running sessions
-	// (default 256); they requeue after each quantum for fairness.
-	FreeRunTicks int
 }
 
 func (c *SchedulerConfig) applyDefaults() {
@@ -110,31 +86,36 @@ func (c *SchedulerConfig) applyDefaults() {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 4096
 	}
-	if c.WheelTick <= 0 {
-		c.WheelTick = time.Millisecond
-	}
-	if c.WheelSlots <= 0 {
-		c.WheelSlots = 512
-	}
-	// Round the wheel up to a power of two so slot hashing is a mask.
-	n := 1
-	for n < c.WheelSlots {
-		n <<= 1
-	}
-	c.WheelSlots = n
-	if c.PacingQuantum <= 0 {
-		c.PacingQuantum = 20 * time.Millisecond
-	}
-	if c.ServiceBudget <= 0 {
-		c.ServiceBudget = 2 * time.Millisecond
-	}
-	if c.FreeRunTicks <= 0 {
-		c.FreeRunTicks = 256
-	}
 }
 
+// Scheduling constants.
+const (
+	// wheelTick is the timing-wheel granularity — the pacing jitter floor.
+	wheelTick = time.Millisecond
+	// wheelSlots is the wheel size, a power of two so slot hashing is a
+	// mask. The horizon is wheelSlots×wheelTick; later deadlines simply
+	// survive extra laps.
+	wheelSlots = 512
+	wheelMask  = wheelSlots - 1
+	// pacingQuantum batches paced sessions whose period p is finer than it
+	// into one wakeup every ⌊quantum/p⌋ periods, stepping that many ticks
+	// per dispatch. Pacing stays exact in the mean; burst jitter is bounded
+	// by the quantum. The quantum only delays ticks — commands wake a
+	// parked session immediately — so it trades output burstiness for
+	// per-dispatch overhead, which is what bounds how many real-time
+	// sessions one host sustains (at 1000 Hz: 20 ticks per dispatch
+	// instead of the wheel-tick floor's 1).
+	pacingQuantum = 20 * time.Millisecond
+	// serviceBudget bounds worker time per dispatch to itself plus at most
+	// one tick: a session with more due work is cut off and requeued at
+	// the tail.
+	serviceBudget = 2 * time.Millisecond
+	// freeRunTicks bounds the ticks of one free-running stepping pass.
+	freeRunTicks = 256
+)
+
 // wheelEntry is one parked session with its absolute wake time. The slot
-// index is a hash (wake/WheelTick mod slots), so entries in a slot are
+// index is a hash (wake/wheelTick mod slots), so entries in a slot are
 // re-checked against their deadline at fire time; a far-future entry just
 // stays for a later lap.
 type wheelEntry struct {
@@ -171,8 +152,7 @@ type Scheduler struct {
 	stop  chan struct{}
 	wg    sync.WaitGroup
 
-	wheel    []wheelSlot
-	mask     int64
+	wheel    [wheelSlots]wheelSlot
 	lastSlot atomic.Int64 // last absolute wheel slot the clock processed
 
 	mu        sync.Mutex // guards sessions, pacedRate, closed
@@ -197,8 +177,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		cfg:      cfg,
 		ready:    make(chan *Session, cfg.MaxSessions),
 		stop:     make(chan struct{}),
-		wheel:    make([]wheelSlot, cfg.WheelSlots),
-		mask:     int64(cfg.WheelSlots - 1),
 		sessions: make(map[*Session]struct{}),
 	}
 	d.lastSlot.Store(d.slotOf(time.Now()))
@@ -212,7 +190,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 
 // slotOf maps a wall time to an absolute wheel-slot number.
 func (d *Scheduler) slotOf(t time.Time) int64 {
-	return t.UnixNano() / int64(d.cfg.WheelTick)
+	return t.UnixNano() / int64(wheelTick)
 }
 
 // register admits a session (called from New, before the session is
@@ -275,7 +253,7 @@ func (d *Scheduler) schedule(s *Session, at time.Time) {
 	if last := d.lastSlot.Load(); sn <= last {
 		sn = last + 1
 	}
-	slot := &d.wheel[sn&d.mask]
+	slot := &d.wheel[sn&wheelMask]
 	slot.mu.Lock()
 	slot.entries = append(slot.entries, wheelEntry{s: s, at: at})
 	slot.mu.Unlock()
@@ -295,12 +273,12 @@ func (d *Scheduler) enqueue(s *Session) {
 	}
 }
 
-// clock advances the timing wheel: every WheelTick it sweeps the slots the
+// clock advances the timing wheel: every wheelTick it sweeps the slots the
 // cursor passed, collects entries whose deadline has arrived, and wakes
 // them (outside the slot locks).
 func (d *Scheduler) clock() {
 	defer d.wg.Done()
-	ticker := time.NewTicker(d.cfg.WheelTick)
+	ticker := time.NewTicker(wheelTick)
 	defer ticker.Stop()
 	var due []*Session // reused sweep scratch, owned by this goroutine
 	for {
@@ -335,9 +313,9 @@ func (d *Scheduler) advance(now time.Time, buf []*Session) []*Session {
 	// lap-aliased — its deadline is at least a whole lap out — and is
 	// correctly kept for a later sweep. (service re-derives dueness from
 	// the wall clock, so an early wake never steps an early tick.)
-	cutoff := now.Add(d.cfg.WheelTick)
+	cutoff := now.Add(wheelTick)
 	for i := int64(1); i <= n; i++ {
-		slot := &d.wheel[(last+i)&d.mask]
+		slot := &d.wheel[(last+i)&wheelMask]
 		slot.mu.Lock()
 		kept := slot.entries[:0]
 		for _, e := range slot.entries {
@@ -385,12 +363,8 @@ func (d *Scheduler) dispatch(s *Session) {
 	if disp.kind == dispDead {
 		s.schedState.Store(schedDead)
 		d.unregister(s, s.rateHz)
-		// The Dead state is terminal and reached by exactly one dispatch
-		// (workers hold exclusive Running ownership), so this is the only
-		// closer a scheduler-mode session ever has; the legacy loop and
-		// New's registration-failure path belong to sessions that never
-		// reach dispatch at all.
-		//lint:ignore tnlint/chanflow exactly one closer exists per session: the failed-New path, the legacy loop, or this dispatch — selected once at construction
+		// Dead is terminal and reached by exactly one dispatch (workers
+		// hold exclusive Running ownership): done's only closer.
 		close(s.done)
 		return
 	}
@@ -569,35 +543,29 @@ func (s *Session) hasPending() bool {
 	return n > 0
 }
 
-// drainPending executes every queued command and delivers every pending
-// streamed input, exactly as the legacy loop's idle select would, until
-// both sources are empty.
+// drainPending executes the commands queued when it starts and delivers
+// every pending streamed input. Stopping at the commands already queued
+// keeps a client that never pauses from pinning the worker; one that
+// arrives meanwhile found the session Running, so its wake requeues the
+// session (and the stepping loops poll hasPending between ticks).
 func (s *Session) drainPending() {
-	for {
-		progress := false
-		select {
-		case fn := <-s.cmds:
-			fn()
-			progress = true
-		default:
-		}
-		s.pendMu.Lock()
-		evs := s.pendIn
-		s.pendIn = nil
-		s.pendMu.Unlock()
-		for _, e := range evs {
-			s.handleInput(e)
-		}
-		if !progress && len(evs) == 0 {
-			return
-		}
+	// Only the worker holding Running receives from cmds, so n receives of
+	// the n queued commands cannot block.
+	for n := len(s.cmds); n > 0; n-- {
+		(<-s.cmds)()
+	}
+	s.pendMu.Lock()
+	evs := s.pendIn
+	s.pendIn = nil
+	s.pendMu.Unlock()
+	for _, e := range evs {
+		s.handleInput(e)
 	}
 }
 
 // watchInputs moves streamed Inputs() events into the pending buffer and
-// wakes the session. It is started lazily by the first Inputs() call in
-// scheduler mode (legacy sessions receive from s.inputs directly in their
-// loop) and exits when the session closes.
+// wakes the session. It is started lazily by the first Inputs() call and
+// exits when the session closes.
 func (s *Session) watchInputs() {
 	for {
 		select {
@@ -612,30 +580,31 @@ func (s *Session) watchInputs() {
 	}
 }
 
-// shutdownScheduled is the scheduler-mode twin of the legacy loop's exit
-// path: fail waiters with ErrClosed and release subscribers.
-func (s *Session) shutdownScheduled() {
+// shutdown retires a closing session: fail waiters with ErrClosed and
+// release subscribers.
+func (s *Session) shutdown() {
 	s.finishRun(ErrClosed)
 	for _, sub := range s.subs {
-		//lint:ignore tnlint/chanflow all close sites of sub.ch are serialized on the session's single servicer (workers hold exclusive Running state; do routes cancel through the same servicer) and are exclusive with the step-path send
+		//lint:ignore tnlint/chanflow both close sites of sub.ch run on the session's servicer (workers hold exclusive Running state; do routes cancel through it) and are exclusive: cancel closes only a registered sub, shutdown only the ones still registered
 		close(sub.ch)
 	}
 	s.subs = nil
 }
 
 // service is one scheduler dispatch: drain pending commands and inputs,
-// then step whatever ticks are runnable within the budget, and report how
-// the session should be re-scheduled. It runs with exclusive ownership of
-// the session (the worker holds Running state), preserving the engine's
-// single-threaded contract and the commands-between-ticks guarantee.
-func (s *Session) service(now time.Time) disposition {
-	cfg := &s.sched.cfg
-	budgetEnd := now.Add(cfg.ServiceBudget)
+// then step whatever ticks are runnable, and report how the session should
+// be re-scheduled. It runs with exclusive ownership of the session (the
+// worker holds Running state), preserving the engine's single-threaded
+// contract and the commands-between-ticks guarantee. The budget is checked
+// after every tick and before every stepping pass, so a dispatch overruns
+// it by at most one tick and one drain of already-queued commands.
+func (s *Session) service(start time.Time) disposition {
+	budgetEnd := start.Add(serviceBudget)
 	var stepped uint64
 	for {
 		s.drainPending()
 		if s.closing {
-			s.shutdownScheduled()
+			s.shutdown()
 			return disposition{kind: dispDead, ticks: stepped}
 		}
 		if !s.running {
@@ -645,16 +614,18 @@ func (s *Session) service(now time.Time) disposition {
 			s.finishRun(nil)
 			continue // commands may have queued meanwhile: re-evaluate
 		}
+		if time.Now().After(budgetEnd) {
+			// Ticks cost more than the budget or commands keep arriving:
+			// take the queue tail so other ready sessions run first.
+			return disposition{kind: dispAgain, ticks: stepped}
+		}
 		if s.rateHz <= 0 {
-			// Free-run: step up to the fairness quantum, then yield the
-			// worker so paced sessions stay on schedule.
-			for i := 0; i < cfg.FreeRunTicks; i++ {
-				if s.eng.Tick() >= s.target || s.hasPending() {
-					break
-				}
+			// Free-run: step a bounded pass, then yield the worker so paced
+			// sessions stay on schedule.
+			for i := 0; i < freeRunTicks && s.eng.Tick() < s.target && !s.hasPending(); i++ {
 				s.step()
 				stepped++
-				if i&15 == 15 && time.Now().After(budgetEnd) {
+				if time.Now().After(budgetEnd) {
 					break
 				}
 			}
@@ -664,33 +635,30 @@ func (s *Session) service(now time.Time) disposition {
 			return disposition{kind: dispAgain, ticks: stepped}
 		}
 		// Paced: step every tick due by the wall clock, advancing the
-		// deadline one period per tick exactly as the legacy loop does.
+		// deadline one period per tick; one clock read per tick serves both
+		// the deadline and the budget.
 		period := time.Duration(float64(time.Second) / s.rateHz)
+		now := time.Now()
 		if s.deadline.IsZero() {
 			s.deadline = now
 		}
-		n := 0
-		for s.eng.Tick() < s.target && !s.deadline.After(time.Now()) {
-			if s.hasPending() {
-				break
-			}
+		for s.eng.Tick() < s.target && !s.deadline.After(now) && !s.hasPending() {
 			s.step()
 			stepped++
 			s.deadline = s.deadline.Add(period)
-			n++
-			if n&15 == 15 && time.Now().After(budgetEnd) {
+			if now = time.Now(); now.After(budgetEnd) {
 				break
 			}
 		}
 		if s.hasPending() || s.eng.Tick() >= s.target {
 			continue
 		}
-		if time.Since(s.deadline) > time.Second {
+		if now.Sub(s.deadline) > time.Second {
 			// Fell more than a second behind (host stall, rate beyond the
 			// host's reach): resynchronize instead of sprinting.
-			s.deadline = time.Now()
+			s.deadline = now
 		}
-		if !s.deadline.After(time.Now()) {
+		if !s.deadline.After(now) {
 			// Still behind after the budget: requeue at the tail so other
 			// due sessions get a worker first (fairness under overload).
 			return disposition{kind: dispAgain, ticks: stepped}
@@ -698,7 +666,7 @@ func (s *Session) service(now time.Time) disposition {
 		// Ahead of schedule: park until the next deadline — batched into
 		// one wakeup per pacing quantum when the period is finer.
 		at := s.deadline
-		if k := int(cfg.PacingQuantum / period); k > 1 {
+		if k := int(pacingQuantum / period); k > 1 {
 			at = at.Add(time.Duration(k-1) * period)
 		}
 		return disposition{kind: dispAt, at: at, ticks: stepped}

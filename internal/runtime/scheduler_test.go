@@ -12,13 +12,14 @@ import (
 
 	"truenorth/internal/leakcheck"
 	rt "truenorth/internal/runtime"
+	"truenorth/internal/sim"
 )
 
 // driveScript runs one fixed command script against a session and renders
 // every observable output as bytes: drained spike streams, pause points,
 // and the final tick. Commands are synchronous (the engine is between
-// ticks when each lands), so the rendering is deterministic and two
-// servicers with identical semantics must produce identical bytes.
+// ticks when each lands), so the rendering is deterministic and must not
+// depend on which scheduler services the session or who else it carries.
 func driveScript(t *testing.T, s *rt.Session) []byte {
 	t.Helper()
 	ctx := context.Background()
@@ -70,30 +71,30 @@ func driveScript(t *testing.T, s *rt.Session) []byte {
 	return buf.Bytes()
 }
 
-// TestSchedulerLegacyEquivalence pins the core refactor promise: the same
-// command script produces byte-identical output streams under the legacy
-// per-session goroutine, a dedicated scheduler, and a shared scheduler
-// with busy neighbor sessions.
+// TestSchedulerLegacyEquivalence pins the one-servicer promise: the same
+// command script produces byte-identical output streams on the scheduler a
+// plain New gives a session of its own, on a shared scheduler, and on a
+// shared scheduler with busy neighbour sessions.
 func TestSchedulerLegacyEquivalence(t *testing.T) {
 	leakcheck.Check(t)
 
-	legacy, err := rt.New(relayEngine(t))
+	owned, err := rt.New(relayEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	want := driveScript(t, legacy)
+	defer owned.Close()
+	want := driveScript(t, owned)
 
 	d := rt.NewScheduler(rt.SchedulerConfig{})
 	defer d.Close()
 
-	pooled, err := rt.New(relayEngine(t), rt.WithScheduler(d))
+	shared, err := rt.New(relayEngine(t), rt.WithScheduler(d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pooled.Close()
-	if got := driveScript(t, pooled); !bytes.Equal(got, want) {
-		t.Errorf("dedicated scheduler diverged:\n got %q\nwant %q", got, want)
+	defer shared.Close()
+	if got := driveScript(t, shared); !bytes.Equal(got, want) {
+		t.Errorf("shared scheduler diverged:\n got %q\nwant %q", got, want)
 	}
 
 	// Re-run with neighbors competing for the same worker pool: paced and
@@ -123,6 +124,39 @@ func TestSchedulerLegacyEquivalence(t *testing.T) {
 		if _, err := n.Pause(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestOwnedSchedulerLeavesNoGoroutine pins the lifecycle of the scheduler
+// a session without WithScheduler owns: Close stops its worker and clock.
+// A New that a saturated or closed shared scheduler refuses starts nothing.
+func TestOwnedSchedulerLeavesNoGoroutine(t *testing.T) {
+	leakcheck.Check(t)
+	s, err := rt.New(relayEngine(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d := rt.NewScheduler(rt.SchedulerConfig{MaxSessions: 1})
+	a, err := rt.New(relayEngine(t), rt.WithScheduler(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.New(relayEngine(t), rt.WithScheduler(d)); !errors.Is(err, rt.ErrSaturated) {
+		t.Fatalf("over-cap New = %v, want ErrSaturated", err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	if _, err := rt.New(relayEngine(t), rt.WithScheduler(d)); !errors.Is(err, rt.ErrSchedulerClosed) {
+		t.Fatalf("New on a closed scheduler = %v, want ErrSchedulerClosed", err)
 	}
 }
 
@@ -298,6 +332,75 @@ func TestSchedulerPacedRateHolds(t *testing.T) {
 	}
 }
 
+// slowEngine is an engine whose every tick costs more than a 1 kHz period.
+type slowEngine struct {
+	sim.Engine
+	cost time.Duration
+}
+
+func (e slowEngine) Step() {
+	time.Sleep(e.cost)
+	e.Engine.Step()
+}
+
+// TestSchedulerDispatchBudget pins the per-dispatch service budget: a
+// paced session that can never catch up (3 ms ticks at 1 kHz) and whose
+// client keeps commands arriving must still hand its worker back after the
+// budget, so a neighbour on the same one-worker pool makes progress.
+func TestSchedulerDispatchBudget(t *testing.T) {
+	leakcheck.Check(t)
+	ctx := context.Background()
+	d := rt.NewScheduler(rt.SchedulerConfig{Workers: 1})
+	defer d.Close()
+	slow, err := rt.New(slowEngine{relayEngine(t), 3 * time.Millisecond}, rt.WithScheduler(d), rt.WithTickRate(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if err := slow.StartUntil(math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := slow.Stats(ctx); err != nil {
+				return
+			}
+		}
+	}()
+	relay, err := rt.New(relayEngine(t), rt.WithScheduler(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	ran := make(chan error, 1)
+	go func() { ran <- relay.Run(ctx, 20) }()
+	var runErr error
+	timedOut := false
+	select {
+	case runErr = <-ran:
+	case <-time.After(3 * time.Second):
+		timedOut = true
+	}
+	dispatches := d.Metrics().Dispatches
+	close(stop)
+	<-polled
+	if timedOut {
+		<-ran // the slow session yields once its client stops
+		t.Fatalf("neighbour's Run(20) starved for 3 s behind an over-budget paced session (%d dispatches)", dispatches)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+}
+
 // TestSchedulerMetricsShape sanity-checks the exported snapshot: counters
 // advance, histograms are cumulative, and the final bucket is +Inf.
 func TestSchedulerMetricsShape(t *testing.T) {
@@ -312,7 +415,15 @@ func TestSchedulerMetricsShape(t *testing.T) {
 	if err := s.Run(context.Background(), 64); err != nil {
 		t.Fatal(err)
 	}
+	// Run returns when the dispatch releases its waiter, which is before
+	// the dispatch records itself: wait for the record.
 	m := d.Metrics()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); m = d.Metrics() {
+		if m.TicksStepped >= 64 && m.BatchSize[len(m.BatchSize)-1].Count > 0 && m.StepLatency[len(m.StepLatency)-1].Count > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if m.Sessions != 1 || m.Workers < 1 {
 		t.Errorf("Sessions=%d Workers=%d", m.Sessions, m.Workers)
 	}

@@ -243,47 +243,6 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, se *sessio
 	writeJSON(w, http.StatusOK, RunResponse{Tick: st.Tick, Running: st.Running})
 }
 
-// RateRequest changes session pacing (deprecated alias; Hz mirrors the
-// old wire shape, TickRateHz the PATCH one — either works).
-type RateRequest struct {
-	Hz         *float64 `json:"hz,omitempty"`
-	TickRateHz *float64 `json:"tick_rate_hz,omitempty"`
-}
-
-// handleRate is the deprecated POST /rate alias for PATCH /v1/sessions/{id}
-// with tick_rate_hz; it is kept for one release and marked with a
-// Deprecation header.
-func (s *Server) handleRate(w http.ResponseWriter, r *http.Request, se *session) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", fmt.Sprintf("</v1/sessions/%s>; rel=\"successor-version\"", se.id))
-	var req RateRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	hz := 0.0
-	switch {
-	case req.Hz != nil:
-		hz = *req.Hz
-	case req.TickRateHz != nil:
-		hz = *req.TickRateHz
-	}
-	if hz < 0 {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("tick rate %g is negative", hz))
-		return
-	}
-	if err := se.sess.SetTickRate(r.Context(), hz); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, RateResponse{Hz: hz})
-}
-
-// RateResponse echoes the applied tick rate (deprecated alias response).
-type RateResponse struct {
-	Hz float64 `json:"hz"`
-}
-
 // InjectRequest carries external input spikes: Events use absolute-tick
 // spikeio addressing, Spikes are relative to the session's next tick.
 // Both forms go through the engine's validating injection path.
@@ -524,9 +483,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP truenorth_sessions Live simulation sessions.\n")
 	fmt.Fprintf(w, "# TYPE truenorth_sessions gauge\n")
 	fmt.Fprintf(w, "truenorth_sessions %d\n", len(all))
-	if s.sched != nil {
-		writeSchedulerMetrics(w, s.sched.Metrics())
-	}
+	writeSchedulerMetrics(w, s.sched.Metrics())
 	for _, se := range all {
 		st, err := se.sess.Stats(r.Context())
 		if err != nil {
@@ -550,7 +507,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSchedulerMetrics renders the pooled scheduler's admission,
+// writeSchedulerMetrics renders the scheduler's admission,
 // dispatch, and latency observability — the signals an operator watches
 // to know when a host is approaching saturation.
 func writeSchedulerMetrics(w io.Writer, m runtime.SchedulerMetrics) {

@@ -8,8 +8,7 @@
 // exactly what a single-tenant run would produce). Sessions share a
 // runtime.Scheduler: a fixed worker pool stepping batches of due sessions
 // off a timing wheel, which is what lets one host carry thousands of
-// paced sessions (Config.LegacySessions restores the per-goroutine
-// servicer, kept as the benchmark comparison arm).
+// paced sessions.
 //
 // Endpoints (all JSON unless noted):
 //
@@ -21,7 +20,6 @@
 //	POST   /v1/sessions/{id}/run        {"ticks":N}|{"until":T}, "wait":bool
 //	POST   /v1/sessions/{id}/pause      → {"tick":T}
 //	POST   /v1/sessions/{id}/resume     continue a paused run
-//	POST   /v1/sessions/{id}/rate       DEPRECATED alias for PATCH {"tick_rate_hz":F}
 //	POST   /v1/sessions/{id}/inject     absolute-tick events or delayed spikes
 //	GET    /v1/sessions/{id}/outputs    drain; ?format=aer for spikeio text
 //	GET    /v1/sessions/{id}/stream     live AER stream until disconnect
@@ -113,11 +111,6 @@ type Config struct {
 	MaxTicksPerSec float64
 	// Workers sizes the scheduler's service pool (0 = GOMAXPROCS).
 	Workers int
-	// LegacySessions runs every session on its own goroutine with its own
-	// pacing timer (the pre-scheduler servicer). Kept as the comparison
-	// arm for the serving benchmark; admission control still applies via
-	// MaxSessions but not MaxTicksPerSec.
-	LegacySessions bool
 	// DefaultEngine names the engine used when a create request does not
 	// pick one ("compass" when empty).
 	DefaultEngine string
@@ -131,7 +124,7 @@ type Config struct {
 // Server manages a set of live simulation sessions.
 type Server struct {
 	cfg   Config
-	sched *runtime.Scheduler // nil in legacy mode
+	sched *runtime.Scheduler
 
 	draining  chan struct{} // closed by BeginShutdown
 	drainOnce sync.Once
@@ -167,9 +160,8 @@ func (se *session) setName(name string) {
 	se.mu.Unlock()
 }
 
-// NewServer returns an empty server and starts its session scheduler
-// (unless cfg.LegacySessions). The caller owns the server and must Close
-// it.
+// NewServer returns an empty server and starts its session scheduler.
+// The caller owns the server and must Close it.
 func NewServer(cfg Config) *Server {
 	if cfg.DefaultEngine == "" {
 		cfg.DefaultEngine = "compass"
@@ -180,19 +172,16 @@ func NewServer(cfg Config) *Server {
 	if cfg.MaxRestoreBytes <= 0 {
 		cfg.MaxRestoreBytes = 1 << 30
 	}
-	s := &Server{
-		cfg:      cfg,
-		sessions: map[string]*session{},
-		draining: make(chan struct{}),
-	}
-	if !cfg.LegacySessions {
-		s.sched = runtime.NewScheduler(runtime.SchedulerConfig{
+	return &Server{
+		cfg: cfg,
+		sched: runtime.NewScheduler(runtime.SchedulerConfig{
 			Workers:        cfg.Workers,
 			MaxSessions:    cfg.MaxSessions,
 			MaxTicksPerSec: cfg.MaxTicksPerSec,
-		})
+		}),
+		sessions: map[string]*session{},
+		draining: make(chan struct{}),
 	}
-	return s
 }
 
 // BeginShutdown marks the server as draining: new creates are refused with
@@ -218,9 +207,7 @@ func (s *Server) Close() {
 	for _, se := range all {
 		se.sess.Close() //nolint:errcheck
 	}
-	if s.sched != nil {
-		s.sched.Close()
-	}
+	s.sched.Close()
 }
 
 // Handler returns the routed HTTP handler. Every route runs behind the
@@ -236,7 +223,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/run", s.withSession(s.handleRun))
 	mux.HandleFunc("POST /v1/sessions/{id}/pause", s.withSession(s.handlePause))
 	mux.HandleFunc("POST /v1/sessions/{id}/resume", s.withSession(s.handleResume))
-	mux.HandleFunc("POST /v1/sessions/{id}/rate", s.withSession(s.handleRate))
 	mux.HandleFunc("POST /v1/sessions/{id}/inject", s.withSession(s.handleInject))
 	mux.HandleFunc("GET /v1/sessions/{id}/outputs", s.withSession(s.handleOutputs))
 	mux.HandleFunc("GET /v1/sessions/{id}/stream", s.withSession(s.handleStream))
@@ -401,13 +387,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
 		return
 	}
-	opts := []runtime.Option{runtime.WithTickRate(req.TickRateHz)}
+	opts := []runtime.Option{runtime.WithTickRate(req.TickRateHz), runtime.WithScheduler(s.sched)}
 	if req.CheckpointEvery > 0 {
 		path := req.CheckpointPath
 		opts = append(opts, runtime.WithAutoCheckpoint(req.CheckpointEvery, rollingCheckpoint(path)))
-	}
-	if s.sched != nil {
-		opts = append(opts, runtime.WithScheduler(s.sched))
 	}
 	sess, err := runtime.New(eng, opts...)
 	if err != nil {
@@ -426,14 +409,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		se.sess.Close() //nolint:errcheck
 		writeError(w, http.StatusServiceUnavailable, codeShuttingDown, "server is shutting down")
-		return
-	}
-	if s.cfg.MaxSessions > 0 && len(s.sessions) >= s.cfg.MaxSessions {
-		// Reached only in legacy mode — scheduler admission enforces the
-		// cap before the session exists.
-		s.mu.Unlock()
-		se.sess.Close() //nolint:errcheck
-		writeError(w, http.StatusTooManyRequests, codeSaturated, fmt.Sprintf("session limit (%d) reached", s.cfg.MaxSessions))
 		return
 	}
 	s.seq++

@@ -258,26 +258,23 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
-// TestMaxSessions drives admission control to its session cap in both
-// servicer modes: the refusal is 429 with the saturated code and a
-// Retry-After hint.
+// TestMaxSessions drives admission control to its session cap: the
+// refusal is 429 with the saturated code and a Retry-After hint.
 func TestMaxSessions(t *testing.T) {
 	leakcheck.Check(t)
-	for _, legacy := range []bool{false, true} {
-		ts := newTestServer(t, serve.Config{MaxSessions: 1, LegacySessions: legacy})
-		if st := call(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(1)}, nil); st != http.StatusCreated {
-			t.Fatalf("legacy=%v: first create = %d", legacy, st)
-		}
-		st, raw, resp := callRaw(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(2)})
-		if st != http.StatusTooManyRequests {
-			t.Fatalf("legacy=%v: second create = %d, want 429 (%s)", legacy, st, raw)
-		}
-		if code := errEnvelope(t, raw); code != "saturated" {
-			t.Fatalf("legacy=%v: code = %q, want saturated", legacy, code)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("legacy=%v: saturated refusal without Retry-After", legacy)
-		}
+	ts := newTestServer(t, serve.Config{MaxSessions: 1})
+	if st := call(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(1)}, nil); st != http.StatusCreated {
+		t.Fatalf("first create = %d", st)
+	}
+	st, raw, resp := callRaw(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(2)})
+	if st != http.StatusTooManyRequests {
+		t.Fatalf("second create = %d, want 429 (%s)", st, raw)
+	}
+	if code := errEnvelope(t, raw); code != "saturated" {
+		t.Fatalf("code = %q, want saturated", code)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("saturated refusal without Retry-After")
 	}
 }
 
@@ -380,7 +377,7 @@ func TestPauseResumeAndRate(t *testing.T) {
 	if st := call(t, "POST", base+"/pause", nil, &paused); st != http.StatusOK {
 		t.Fatalf("pause = %d", st)
 	}
-	if st := call(t, "POST", base+"/rate", serve.RateRequest{Hz: f64(0)}, nil); st != http.StatusOK {
+	if st := call(t, "PATCH", base, serve.PatchRequest{TickRateHz: f64(0)}, nil); st != http.StatusOK {
 		t.Fatal("rate change failed")
 	}
 	if st := call(t, "POST", base+"/resume", nil, &run); st != http.StatusOK {
@@ -441,7 +438,7 @@ func TestRunUntilHugeTargetStaysBounded(t *testing.T) {
 	if st := call(t, "POST", base+"/pause", nil, nil); st != http.StatusOK {
 		t.Fatal("pause failed")
 	}
-	if st := call(t, "POST", base+"/rate", serve.RateRequest{Hz: f64(0)}, nil); st != http.StatusOK {
+	if st := call(t, "PATCH", base, serve.PatchRequest{TickRateHz: f64(0)}, nil); st != http.StatusOK {
 		t.Fatal("rate change failed")
 	}
 	if st := call(t, "POST", base+"/run", serve.RunRequest{Ticks: 10, Wait: true}, &run); st != http.StatusOK {
@@ -784,39 +781,6 @@ func TestPatchSession(t *testing.T) {
 }
 
 func strPtr(s string) *string { return &s }
-
-// TestRateAliasDeprecated pins the one-release compatibility alias:
-// POST /rate still re-paces the session, carries a Deprecation header, and
-// accepts both the old {"hz"} and the new {"tick_rate_hz"} shapes.
-func TestRateAliasDeprecated(t *testing.T) {
-	ts := newTestServer(t, serve.Config{})
-	var info serve.SessionInfo
-	if st := call(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(1)}, &info); st != http.StatusCreated {
-		t.Fatal("create failed")
-	}
-	base := ts.URL + "/v1/sessions/" + info.ID
-
-	st, _, resp := callRaw(t, "POST", base+"/rate", serve.RateRequest{Hz: f64(250)})
-	if st != http.StatusOK {
-		t.Fatalf("rate alias = %d", st)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("rate alias response missing Deprecation header")
-	}
-	if st := call(t, "GET", base, nil, &info); st != http.StatusOK || info.TickRateHz != 250 {
-		t.Fatalf("rate after alias = %g, want 250", info.TickRateHz)
-	}
-	if st := call(t, "POST", base+"/rate", serve.RateRequest{TickRateHz: f64(125)}, nil); st != http.StatusOK {
-		t.Fatalf("rate alias (new field) = %d", st)
-	}
-	if st := call(t, "GET", base, nil, &info); st != http.StatusOK || info.TickRateHz != 125 {
-		t.Fatalf("rate after alias = %g, want 125", info.TickRateHz)
-	}
-	st, raw, _ := callRaw(t, "POST", base+"/rate", serve.RateRequest{Hz: f64(-3)})
-	if st != http.StatusBadRequest || errEnvelope(t, raw) != "invalid_request" {
-		t.Fatalf("negative rate via alias = %d (%s)", st, raw)
-	}
-}
 
 // TestListPagination walks a multi-page listing by token and exercises
 // the state filter.

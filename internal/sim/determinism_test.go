@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -308,21 +307,9 @@ func TestBuildIsReproducible(t *testing.T) {
 	}
 }
 
-// schedMode mirrors the runtime package's TN_RUNTIME_SCHED knob: when set,
-// every session in this file is driven by a pooled Scheduler instead of the
-// legacy per-session goroutine, so the checkpoint/restore assay below also
-// covers the batched servicer (scripts/check.sh runs this package both ways).
-var schedMode = os.Getenv("TN_RUNTIME_SCHED") == "1"
-
 func newSession(t *testing.T, eng sim.Engine) *runtime.Session {
 	t.Helper()
-	var opts []runtime.Option
-	if schedMode {
-		d := runtime.NewScheduler(runtime.SchedulerConfig{})
-		t.Cleanup(d.Close)
-		opts = append(opts, runtime.WithScheduler(d))
-	}
-	s, err := runtime.New(eng, opts...)
+	s, err := runtime.New(eng)
 	if err != nil {
 		t.Fatal(err)
 	}

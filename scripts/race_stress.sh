@@ -10,12 +10,6 @@
 # -count=N (default 3) also defeats single-run scheduling luck and catches
 # cross-iteration state leaks.
 #
-# The session runtime has two servicer shapes — the legacy goroutine-per-
-# session loop and the pooled timing-wheel Scheduler — promising identical
-# observable semantics. Each schedule therefore runs internal/runtime a
-# second time with TN_RUNTIME_SCHED=1, which reroutes every newSession-
-# based test through a shared Scheduler (see runtime_test.go).
-#
 # Environment:
 #   RACE_STRESS_COUNT  test -count value per (package, GOMAXPROCS) cell
 #                      (default 3)
@@ -42,15 +36,10 @@ for procs in 1 2 8; do
 			cat "$log"
 			exit 1
 		fi
-		if ! TN_RUNTIME_SCHED=1 GOMAXPROCS=$procs go test -race -count="$count" ./internal/runtime/... >>"$log" 2>&1; then
-			cat "$log"
-			exit 1
-		fi
 		grep -c '^ok' "$log" | sed 's/$/ package results ok/'
 	else
 		# shellcheck disable=SC2086
 		GOMAXPROCS=$procs go test -race -count="$count" $pkgs
-		TN_RUNTIME_SCHED=1 GOMAXPROCS=$procs go test -race -count="$count" ./internal/runtime/...
 	fi
 done
 

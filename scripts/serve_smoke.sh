@@ -62,7 +62,7 @@ t1="$(json_int "$resp" tick)"
 [ -n "$t1" ] && [ "$t1" -ge 1 ] && [ "$t1" -lt 90 ] ||
 	{ echo "FAIL: pause landed at tick '$t1', not mid-run in (0,90): $resp"; exit 1; }
 echo "    paused at tick $t1"
-post "$s/rate" '{"hz":0}' >/dev/null
+curl -sSf -X PATCH -H 'Content-Type: application/json' -d '{"tick_rate_hz":0}' "$base$s" >/dev/null
 post "$s/run" '{"until":90,"wait":true}' >/dev/null
 get "$s/outputs?format=aer" >"$work/part1.aer"
 
