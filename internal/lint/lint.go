@@ -13,9 +13,9 @@
 //     energy arithmetic paths (comparisons against exactly-representable
 //     literal zero are allowed as divide-by-zero guards).
 //   - ticksafe: goroutines only inside internal/compass, only as inline
-//     worker func literals with completion signalling (defer wg.Done() or a
-//     channel close), and WaitGroup-managed workers may write captured state
-//     only through per-worker indexed slots.
+//     worker func literals that signal completion with defer wg.Done(), and
+//     those workers may write captured state only through per-worker
+//     indexed slots.
 //
 // Real-time serving safety (behind the paper's f_max ≈ 1 kHz operating
 // claim: the per-tick hot path must stay allocation-free and the session
@@ -96,14 +96,16 @@ import (
 const Module = "truenorth"
 
 // KernelPackages are the packages whose tick-domain behavior must be
-// bitwise deterministic: the two engine expressions, the core state machine
-// and its parts, everything that constructs or feeds networks, and the
-// entry points that drive them — a `cmd` or example that seeds from the
-// wall clock breaks replayability just as surely as a kernel that does. A
-// trailing "/..." entry matches every package under the prefix.
+// bitwise deterministic: the two engine expressions and the substrate they
+// share, the core state machine and its parts, everything that constructs
+// or feeds networks, and the entry points that drive them — a `cmd` or
+// example that seeds from the wall clock breaks replayability just as surely
+// as a kernel that does. A trailing "/..." entry matches every package under
+// the prefix.
 var KernelPackages = []string{
 	Module + "/internal/chip",
 	Module + "/internal/compass",
+	Module + "/internal/sim",
 	Module + "/internal/core",
 	Module + "/internal/neuron",
 	Module + "/internal/router",

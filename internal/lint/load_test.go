@@ -47,7 +47,7 @@ func TestLoaderFindsAllPackages(t *testing.T) {
 // floatcmp depend on.
 func TestLoaderResolvesModuleTypes(t *testing.T) {
 	l := newRepoLoader(t)
-	pkg, err := l.Load(Module + "/internal/chip")
+	pkg, err := l.Load(Module + "/internal/sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestLoaderResolvesModuleTypes(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("chip's map[router.Point]bool did not type-check to a cross-package map type")
+		t.Fatal("the substrate's map[router.Point]bool did not type-check to a cross-package map type")
 	}
 }
 

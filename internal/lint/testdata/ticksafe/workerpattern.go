@@ -9,11 +9,11 @@ type engine2 struct {
 }
 
 // The sanctioned pattern: wg-managed inline workers writing only their own
-// indexed slot or worker-local state, plus a channel-closed collector.
-// No findings.
+// indexed slot or worker-local state. A worker that signals by closing a
+// channel is not part of it.
 func (e *engine2) step(workers int, ch chan int) {
 	done := make(chan struct{})
-	go func() {
+	go func() { // want `no completion signal`
 		sum := 0
 		for v := range ch {
 			sum += v

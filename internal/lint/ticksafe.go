@@ -8,13 +8,12 @@ import (
 // TickSafe returns the concurrency-pattern analyzer. The kernel is
 // single-threaded everywhere except internal/compass, whose Step runs the
 // documented semi-synchronous worker pattern: inline `go func` worker
-// literals joined by a sync.WaitGroup (or, for the single collector in the
-// no-aggregation ablation, a channel close), with two barriers per tick.
-// ticksafe enforces three rules:
+// literals joined by a sync.WaitGroup, with two barriers per tick. ticksafe
+// enforces three rules:
 //
 //  1. No goroutine launches in kernel packages outside internal/compass.
 //  2. In internal/compass, every `go` statement is an inline func literal
-//     that signals completion: `defer wg.Done()` or a `close(ch)`.
+//     that signals completion with `defer wg.Done()`.
 //  3. A WaitGroup-managed worker may assign to captured (outer-scope)
 //     variables only through an indexed slot (e.g. perWorker[w] = ...), the
 //     share-nothing discipline that makes the compute phase race-free.
@@ -51,13 +50,11 @@ func runTickSafe(pkg *Package, report ReportFunc) {
 				report(g.Pos(), "goroutine must be an inline worker func literal with completion signalling")
 				return true
 			}
-			wgManaged := hasDeferDone(fl.Body)
-			if !wgManaged && !hasClose(fl.Body) {
-				report(g.Pos(), "worker goroutine has no completion signal (defer wg.Done() or close of a done channel)")
+			if !hasDeferDone(fl.Body) {
+				report(g.Pos(), "worker goroutine has no completion signal (defer wg.Done())")
+				return true
 			}
-			if wgManaged {
-				checkWorkerWrites(fl, report)
-			}
+			checkWorkerWrites(fl, report)
 			return true
 		})
 	}
@@ -99,24 +96,10 @@ func hasDeferDone(body *ast.BlockStmt) bool {
 	return found
 }
 
-// hasClose reports whether body contains a close(...) call.
-func hasClose(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok {
-			if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "close" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
 // checkWorkerWrites flags assignments and ++/-- inside a WaitGroup-managed
 // worker whose target is a captured variable reached without any index
 // expression: `s.outputs = append(...)` races between workers, while
-// `s.perWorkerOut[w] = append(...)` is the sanctioned per-worker slot.
+// `s.outbox[w][dst] = append(...)` is the sanctioned per-worker slot.
 func checkWorkerWrites(fl *ast.FuncLit, report ReportFunc) {
 	local := localNames(fl)
 	flag := func(lhs ast.Expr) {

@@ -8,7 +8,7 @@ import (
 
 // routabilityCheck walks every neuron target against the mesh, the
 // populated-core map, and the fault set. Engines silently drop spikes that
-// exit the board or address an absent or disabled core (chip.Model.route
+// exit the board or address an absent or disabled core (sim.Dispatch.Route
 // counts them in NoCStats.Dropped); statically these are Errors — the
 // model cannot run as intended.
 func routabilityCheck() *Check {

@@ -307,15 +307,6 @@ func TestBuildIsReproducible(t *testing.T) {
 	}
 }
 
-func newSession(t *testing.T, eng sim.Engine) *runtime.Session {
-	t.Helper()
-	s, err := runtime.New(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // quiescentNet is the stress workload for the per-tick pending-core mask:
 // the driven assay network with all but two cores converted to pure
 // event-driven relay cores (no leak, no jitter, zero initial potential).
@@ -383,7 +374,10 @@ func TestQuiescentCheckpointCrossEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := newSession(t, eng)
+			s, err := runtime.New(eng)
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer s.Close()
 			// Segment 1, then checkpoint mid-run with spikes in flight.
 			if err := s.RunUntil(ctx, 80); err != nil {

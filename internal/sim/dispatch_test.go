@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"truenorth/internal/chip"
-	"truenorth/internal/compass"
 	"truenorth/internal/core"
 	"truenorth/internal/neuron"
 	"truenorth/internal/prng"
@@ -150,6 +148,7 @@ type arm interface {
 	Cores() []*core.Core
 	DisableCore(x, y int)
 	EnableCore(x, y int)
+	Reset(clearCounters bool)
 }
 
 // The hand-built mesh: 4×3 cores in 2×2 chip tiles (so routes cross tile
@@ -231,24 +230,21 @@ type script map[int]func(t *testing.T, a arm)
 // lockstep runs the reference and the engines side by side under s and
 // compares, after every tick, the drained outputs in order, all five NoC
 // counters and every core's SaveState.
-func lockstep(t *testing.T, ticks int, s script, withReset bool) {
+func lockstep(t *testing.T, ticks int, s script) {
 	t.Helper()
 	configs := kindsNet(t)
 	ref := newRef(t, kindsMesh, configs)
-	names := []string{"reference", "chip"}
-	c, err := chip.New(kindsMesh, configs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arms := []arm{ref, c}
-	if !withReset { // compass has no Reset
-		for _, w := range []int{1, 2, 3} {
-			cs, err := compass.New(kindsMesh, configs, sim.WithWorkers(w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			arms, names = append(arms, cs), append(names, fmt.Sprintf("compass(%d)", w))
+	arms, names := []arm{ref}, []string{"reference"}
+	for _, w := range []int{0, 1, 2, 3} { // 0 is chip
+		name, label := "compass", fmt.Sprintf("compass(%d)", w)
+		if w == 0 {
+			name, label = "chip", "chip"
 		}
+		e, err := sim.NewEngine(name, kindsMesh, configs, sim.WithWorkers(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arms, names = append(arms, e.(arm)), append(names, label)
 	}
 	rng := prng.NewRand(7)
 	var total sim.NoCStats
@@ -309,7 +305,7 @@ func lockstep(t *testing.T, ticks int, s script, withReset bool) {
 }
 
 func TestEveryDispatchKindMatchesPerSpikeRouting(t *testing.T) {
-	lockstep(t, 300, nil, false)
+	lockstep(t, 300, nil)
 }
 
 // TestDispatchFallsBackWhileACoreIsDead: table, then per-spike routing around
@@ -324,15 +320,14 @@ func TestDispatchFallsBackWhileACoreIsDead(t *testing.T) {
 			}
 			a.EnableCore(1, 1)
 		},
-	}, false)
+	})
 }
 
 func TestDispatchAcrossReset(t *testing.T) {
-	type resetter interface{ Reset(bool) }
 	lockstep(t, 240, script{
-		90:  func(_ *testing.T, a arm) { a.(resetter).Reset(false) },
-		170: func(_ *testing.T, a arm) { a.(resetter).Reset(true) },
-	}, true)
+		90:  func(_ *testing.T, a arm) { a.Reset(false) },
+		170: func(_ *testing.T, a arm) { a.Reset(true) },
+	})
 }
 
 // TestDispatchAcrossCheckpointRestore snapshots the reference while a core is
@@ -369,7 +364,7 @@ func TestDispatchAcrossCheckpointRestore(t *testing.T) {
 			a.SetClock(at)
 		},
 		200: func(_ *testing.T, a arm) { a.EnableCore(2, 1) },
-	}, false)
+	})
 }
 
 // TestDispatchTable checks the compiled table against the definitions it

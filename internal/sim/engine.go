@@ -19,10 +19,6 @@ type Options struct {
 	// (GOMAXPROCS for Compass); the single-threaded chip model accepts and
 	// ignores it.
 	Workers int
-	// Aggregate selects pairwise spike aggregation in the Compass engine
-	// (default true); the chip model routes spikes as they occur and has no
-	// message layer to aggregate.
-	Aggregate bool
 }
 
 // Option configures engine construction.
@@ -31,7 +27,7 @@ type Option func(*Options)
 // BuildOptions folds opts over the defaults. Engine constructors call this;
 // applications only construct Option values.
 func BuildOptions(opts []Option) Options {
-	o := Options{Aggregate: true}
+	var o Options
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -47,13 +43,6 @@ func WithWorkers(n int) Option {
 	return func(o *Options) { o.Workers = n }
 }
 
-// WithAggregation toggles pairwise spike aggregation (default on) in
-// engines with a message-passing delivery phase. Results are identical
-// either way; only the communication cost differs.
-func WithAggregation(on bool) Option {
-	return func(o *Options) { o.Aggregate = on }
-}
-
 // Factory constructs one engine expression over a mesh and its row-major
 // core configurations.
 type Factory func(mesh router.Mesh, configs []*core.Config, opts ...Option) (Engine, error)
@@ -61,6 +50,7 @@ type Factory func(mesh router.Mesh, configs []*core.Config, opts ...Option) (Eng
 var (
 	registryMu sync.RWMutex
 	registry   = map[string]Factory{}
+	names      []string // registry's keys, sorted
 )
 
 // Register makes an engine expression available to NewEngine under name.
@@ -78,6 +68,8 @@ func Register(name string, f Factory) {
 		panic("sim: duplicate engine registration " + name)
 	}
 	registry[name] = f
+	names = append(names, name)
+	sort.Strings(names)
 }
 
 // NewEngine constructs the named engine expression. It is the single
@@ -97,12 +89,7 @@ func NewEngine(name string, mesh router.Mesh, configs []*core.Config, opts ...Op
 func EngineNames() []string {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return append([]string(nil), names...)
 }
 
 // CheckedInjector is implemented by engines whose Inject has a validating

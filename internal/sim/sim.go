@@ -6,6 +6,12 @@
 // interface, which is what lets any network "run without modification" on
 // either expression — the property the paper establishes between Compass and
 // TrueNorth.
+//
+// Both expressions also run on one implementation of it, the Substrate: the
+// cores and their clock, the injection queue, the fault set, the compiled
+// Network phase (Dispatch), and a partition of the cores into per-worker
+// Parts, each with its masked core walk, its Route fallback and its Land. An
+// engine adds only a worker count and a delivery strategy.
 package sim
 
 import (
