@@ -202,9 +202,9 @@ func BenchmarkSectionIVBAppTable(b *testing.B) {
 // BenchmarkPerTickAllocs measures steady-state heap allocations per tick
 // for both engines at the flagship operating point. scripts/allocs_gate.sh
 // parses the -benchmem allocs/op column and fails CI when a budget is
-// exceeded: the chip engine must not allocate on the per-tick path at all,
-// and Compass is allowed only its per-worker goroutine spawns. This is the
-// dynamic complement to the hotalloc analyzer, which cannot see what
+// exceeded: neither engine may allocate on the per-tick path at all —
+// Compass's worker pool is started at construction, not per tick. This is
+// the dynamic complement to the hotalloc analyzer, which cannot see what
 // escape analysis decides.
 func BenchmarkPerTickAllocs(b *testing.B) {
 	for _, engine := range []string{"chip", "compass"} {

@@ -10,6 +10,12 @@
 // worker pairs into a single message, uses meticulous load balancing, and
 // synchronizes with two barriers per tick.
 //
+// The workers are a pool started with the engine. The goroutine that calls
+// Step is worker 0; workers 1..n−1 wait on their own start channels, and a
+// reused sync.WaitGroup is each phase's barrier, so a tick spawns nothing.
+// With one worker the tick runs inline on the caller, through the same two
+// phases.
+//
 // The engine is deterministic and spike-for-spike identical to the silicon
 // model in internal/chip: both run on the engine substrate of internal/sim —
 // the same core.Core state machines, injection queue, fault set, masked walk
@@ -20,6 +26,7 @@
 package compass
 
 import (
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -31,17 +38,39 @@ import (
 
 // Sim is the parallel Compass engine: the engine substrate partitioned over
 // workers, each resolving its cores' spikes into per-pair outboxes that the
-// destination's owner drains after a barrier. It implements sim.Engine.
+// destination's owner drains after a barrier. It implements sim.Engine and
+// io.Closer.
+//
+// Sim is a thin handle over the engine its workers share. The workers never
+// reference the handle, so a Sim dropped without Close becomes unreachable
+// and its finalizer stops the pool.
 type Sim struct {
+	*engine
+}
+
+// engine is the state a tick runs on.
+type engine struct {
 	*sim.Substrate
 	// outbox[src][dst] accumulates deliveries produced by worker src for
 	// cores owned by worker dst during the compute phase: the Network-phase
 	// payload after aggregation, one word a spike.
 	outbox [][][]sim.Delivery
-	// wg is the fork-join barrier reused across ticks; a per-tick local
-	// would be moved to the heap every Step by the worker closures.
+	// peers[w-1] is pool worker w's start channel, for w in 1..n-1; the
+	// goroutine that calls Step is worker 0. It is nil with one worker and
+	// after Close, and the caller then runs every share itself.
+	peers []chan phase
+	// wg is the barrier: reused every phase, counting the peers still
+	// running it.
 	wg sync.WaitGroup
 }
+
+// phase names one half of a tick, as sent to a pool worker.
+type phase uint8
+
+const (
+	computePhase phase = iota
+	drainPhase
+)
 
 func init() {
 	sim.Register("compass", func(mesh router.Mesh, configs []*core.Config, opts ...sim.Option) (sim.Engine, error) {
@@ -51,8 +80,9 @@ func init() {
 
 // New builds a Compass simulation over mesh with row-major configs (nil
 // entries are unpopulated), exactly as chip.New. sim.WithWorkers sets the
-// worker (goroutine) count: 0 means runtime.GOMAXPROCS(0), and the count is
-// clamped to [1, populated cores].
+// worker count: 0 means runtime.GOMAXPROCS(0), and the count is clamped to
+// [1, populated cores]. With n > 1 workers, New starts the n−1 pool
+// goroutines that Close stops.
 func New(mesh router.Mesh, configs []*core.Config, opts ...sim.Option) (*Sim, error) {
 	workers := sim.BuildOptions(opts).Workers
 	if workers == 0 {
@@ -62,11 +92,47 @@ func New(mesh router.Mesh, configs []*core.Config, opts ...sim.Option) (*Sim, er
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim{Substrate: sub, outbox: make([][][]sim.Delivery, sub.Workers())}
-	for i := range s.outbox {
-		s.outbox[i] = make([][]sim.Delivery, sub.Workers())
+	n := sub.Workers()
+	e := &engine{Substrate: sub, outbox: make([][][]sim.Delivery, n)}
+	for i := range e.outbox {
+		e.outbox[i] = make([][]sim.Delivery, n)
 	}
+	s := &Sim{engine: e}
+	if n == 1 {
+		return s, nil
+	}
+	e.peers = make([]chan phase, n-1)
+	for i := range e.peers {
+		w, ch := i+1, make(chan phase, 1)
+		e.peers[i] = ch
+		// A pool worker runs one phase per message until Close (or the
+		// handle's finalizer) closes its channel.
+		go func() {
+			for ph := range ch {
+				e.run(w, ph)
+				e.wg.Done()
+			}
+		}()
+	}
+	runtime.SetFinalizer(s, func(s *Sim) { stopPool(s.peers) })
 	return s, nil
+}
+
+// stopPool closes the pool workers' start channels, which ends them.
+func stopPool(peers []chan phase) {
+	for _, ch := range peers {
+		close(ch)
+	}
+}
+
+// Close implements io.Closer: it stops the pool workers. It is idempotent,
+// and the Sim stays usable — with no pool, the caller runs every worker's
+// share of a phase in turn, which computes the same tick.
+func (s *Sim) Close() error {
+	runtime.SetFinalizer(s, nil)
+	stopPool(s.peers)
+	s.peers = nil
+	return nil
 }
 
 // staticWeights estimates a core's load from its configured synapses — the
@@ -78,6 +144,7 @@ func staticWeights(c *core.Core) float64 {
 // Rebalance repartitions cores across workers using the measured per-core
 // synaptic-event counters accumulated so far. Pending (in-flight) delay-ring
 // state stays with each core, so rebalancing between ticks is transparent.
+// The worker count is kept, and workers look their part up every phase.
 func (s *Sim) Rebalance() {
 	s.Repartition(func(c *core.Core) float64 { return 1 + float64(c.Cnt.SynEvents) })
 }
@@ -87,35 +154,44 @@ func (s *Sim) Rebalance() {
 // phases, then resolve what fired and aggregate the deliveries into per-pair
 // messages (compute). Barrier. Delivery phase: each worker drains the
 // messages addressed to it into its cores' axonal delay rings. Barrier.
+// The calling goroutine is worker 0; with one worker the tick runs inline.
 //
 //perf:hot
 func (s *Sim) Step() {
-	tick := s.BeginTick()
-	dead := s.DeadFunc()
-	n := len(s.outbox)
-
-	// Compute phase (kernel lines 3-19 per core). Each worker is one closure
-	// that captures everything by value, w included: one allocation a
-	// goroutine, where passing w as an argument costs a second.
-	for w := 0; w < n; w++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.compute(w, tick, dead)
-		}()
-	}
-	s.wg.Wait() // barrier 1: all computation and message aggregation complete
-
-	// Delivery phase (kernel line 15 completion + line 21 barrier).
-	for w := 0; w < n; w++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.drain(w, tick)
-		}()
-	}
-	s.wg.Wait() // barrier 2: all deliveries landed; safe to advance time
+	s.BeginTick()
+	s.fork(computePhase) // barrier 1: all computation and message aggregation complete
+	s.fork(drainPhase)   // barrier 2: all deliveries landed; safe to advance time
 	s.EndTick()
+}
+
+// fork runs phase ph on every worker and returns when all have finished. The
+// pool workers are signalled through their start channels, the caller runs
+// worker 0's share, and waiting on wg is the barrier. A share without a pool
+// worker (after Close) runs on the caller too: shares touch disjoint state,
+// so their order is unobservable.
+//
+//perf:hot
+func (e *engine) fork(ph phase) {
+	e.wg.Add(len(e.peers))
+	for _, ch := range e.peers {
+		ch <- ph
+	}
+	e.run(0, ph)
+	for w := len(e.peers) + 1; w < len(e.outbox); w++ {
+		e.run(w, ph)
+	}
+	e.wg.Wait()
+}
+
+// run is worker w's share of phase ph.
+//
+//perf:hot
+func (e *engine) run(w int, ph phase) {
+	if ph == computePhase {
+		e.compute(w)
+	} else {
+		e.drain(w)
+	}
 }
 
 // compute is worker w's compute phase: the masked walk over its cores, then
@@ -126,12 +202,14 @@ func (s *Sim) Step() {
 // while a core is dead, takes sim.Part.Route.
 //
 //perf:hot
-func (s *Sim) compute(w int, tick uint64, dead router.DeadFunc) {
-	p := s.Part(w)
-	if p == nil || uint(w) >= uint(len(s.outbox)) {
+func (e *engine) compute(w int) {
+	// The part is looked up every phase: Rebalance reallocates the parts.
+	p := e.Part(w)
+	if p == nil || uint(w) >= uint(len(e.outbox)) {
 		return
 	}
-	out, d := s.outbox[w], s.Dispatch()
+	tick, dead := e.Tick(), e.DeadFunc()
+	out, d := e.outbox[w], e.Dispatch()
 	var noc sim.NoCStats
 	for _, key := range p.Walk(tick) {
 		dv := d.Lookup(key)
@@ -144,7 +222,7 @@ func (s *Sim) compute(w int, tick uint64, dead router.DeadFunc) {
 			d.Charge(&noc, int(key>>8), dv.Dst())
 		}
 		// A delivery's destination is populated, hence owned.
-		if dw := uint(s.Owner(dv.Dst())); dw < uint(len(out)) {
+		if dw := uint(e.Owner(dv.Dst())); dw < uint(len(out)) {
 			out[dw] = append(out[dw], dv)
 		}
 	}
@@ -156,19 +234,20 @@ func (s *Sim) compute(w int, tick uint64, dead router.DeadFunc) {
 // touches only w's cores and bitsets — race-free by ownership.
 //
 //perf:hot
-func (s *Sim) drain(w int, tick uint64) {
-	p := s.Part(w)
+func (e *engine) drain(w int) {
+	p := e.Part(w)
 	if p == nil {
 		return
 	}
-	for src := range s.outbox {
-		if uint(w) >= uint(len(s.outbox[src])) {
+	tick := e.Tick()
+	for _, row := range e.outbox {
+		if uint(w) >= uint(len(row)) {
 			continue
 		}
 		// Emptied for the next compute phase before it is read: nothing
 		// appends until the barrier after this phase.
-		msgs := s.outbox[src][w]
-		s.outbox[src][w] = msgs[:0]
+		msgs := row[w]
+		row[w] = msgs[:0]
 		for _, dv := range msgs {
 			p.Land(dv, tick)
 		}
@@ -209,4 +288,5 @@ func (s *Sim) LoadImbalance() float64 {
 var (
 	_ sim.Engine          = (*Sim)(nil)
 	_ sim.CheckedInjector = (*Sim)(nil)
+	_ io.Closer           = (*Sim)(nil)
 )

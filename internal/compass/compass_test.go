@@ -2,11 +2,14 @@ package compass
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"truenorth/internal/chip"
 	"truenorth/internal/core"
+	"truenorth/internal/leakcheck"
 	"truenorth/internal/neuron"
 	"truenorth/internal/router"
 	"truenorth/internal/sim"
@@ -194,6 +197,45 @@ func TestRebalancePreservesBehavior(t *testing.T) {
 	spikesEqual(t, a.DrainOutputs(), b.DrainOutputs(), "no-rebalance", "rebalanced")
 	if ac, bc := a.Counters(), b.Counters(); ac != bc {
 		t.Fatalf("rebalance changed counters: %+v vs %+v", ac, bc)
+	}
+}
+
+// TestClosedPoolLeavesNoGoroutine: Close stops every pool worker, and is
+// idempotent.
+func TestClosedPoolLeavesNoGoroutine(t *testing.T) {
+	leakcheck.Check(t)
+	const w, h = 3, 3
+	s, err := New(router.Mesh{W: w, H: h}, randomNetwork(w, h, 4), sim.WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kick(s, w, h, 4)
+	s.Run(20)
+	for i := 0; i < 2; i++ {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDroppedPoolIsCollected: the workers never reference the handle, so a
+// Sim dropped without Close is collected and its finalizer stops the pool.
+func TestDroppedPoolIsCollected(t *testing.T) {
+	const w, h = 3, 3
+	base := runtime.NumGoroutine()
+	func() {
+		s, err := New(router.Mesh{W: w, H: h}, randomNetwork(w, h, 4), sim.WithWorkers(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kick(s, w, h, 4)
+		s.Run(20)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running 5 s after the Sim was dropped, %d before it", runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
 	}
 }
 

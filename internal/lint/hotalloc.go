@@ -52,15 +52,17 @@ var hotFuncNames = map[string]bool{
 //     literal escapes or reallocates per tick (plain struct/array value
 //     literals are register/stack material and stay legal).
 //  4. func literals declared inside a per-tick loop — one closure
-//     allocation per iteration; hoist the closure above the loop (the
-//     func literal launched directly by a `go` statement is exempt:
-//     goroutine policy belongs to ticksafe).
+//     allocation per iteration; hoist the closure above the loop.
 //  5. append whose destination buffer is never reslice-reused — growth
 //     that the GC must eventually collect. An append is sanctioned when
 //     the package resets the same buffer with `buf = buf[:0]` somewhere
 //     (the reuse idiom that amortizes to zero steady-state allocations);
-//     local := aliases are resolved, so `out := s.outbox[w]` inherits the
-//     reset of s.outbox.
+//     local := and range-value aliases are resolved on both sides, so
+//     `out := s.outbox[w]` inherits a reset written as `row[w] = msgs[:0]`
+//     inside `for _, row := range s.outbox`.
+//  6. go statements — every launch allocates a goroutine (and its func
+//     literal's closure); parallel engines start a persistent worker pool
+//     at construction and signal it per tick.
 //
 // The hot set is the named functions above plus any function carrying the
 // //perf:hot directive (shared with the perfproof compiler gate), so the
@@ -115,13 +117,18 @@ func runHotAlloc(pkg *Package, report ReportFunc) {
 }
 
 // collectResets scans the whole package for `x = y[:0]`-style assignments
-// and returns the terminal names of the reset buffers. A reset anywhere in
-// the package sanctions per-tick appends to that buffer: the backing array
-// is being reused, so growth amortizes to zero.
+// and returns the terminal names of the reset buffers, resolved through the
+// enclosing function's aliases. A reset anywhere in the package sanctions
+// per-tick appends to that buffer: the backing array is being reused, so
+// growth amortizes to zero.
 func collectResets(pkg *Package) map[string]bool {
 	resets := map[string]bool{}
 	for _, f := range pkg.Files {
+		aliases := map[string]string{}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if fd, ok := n.(*ast.FuncDecl); ok && fd.Body != nil {
+				aliases = collectAliases(fd.Body)
+			}
 			as, ok := n.(*ast.AssignStmt)
 			if !ok {
 				return true
@@ -132,7 +139,7 @@ func collectResets(pkg *Package) map[string]bool {
 				}
 				if isResliceToZero(rhs) {
 					if name := terminalName(as.Lhs[i]); name != "" {
-						resets[name] = true
+						resets[resolveAlias(name, aliases)] = true
 					}
 				}
 			}
@@ -159,11 +166,20 @@ func isIntLit(e ast.Expr, text string) bool {
 	return ok && lit.Kind == token.INT && lit.Value == text
 }
 
-// collectAliases maps local `name := expr` aliases to the terminal name of
-// their source, chasing chains (out := s.outbox[w] → out ↦ outbox).
+// collectAliases maps local `name := expr` aliases, and the value variable
+// of `for _, name := range expr`, to the terminal name of their source,
+// chasing chains (out := s.outbox[w] → out ↦ outbox).
 func collectAliases(body *ast.BlockStmt) map[string]string {
 	aliases := map[string]string{}
 	ast.Inspect(body, func(n ast.Node) bool {
+		if rs, ok := n.(*ast.RangeStmt); ok && rs.Tok == token.DEFINE {
+			if id, ok := rs.Value.(*ast.Ident); ok && id.Name != "_" {
+				if src := terminalName(rs.X); src != "" && src != id.Name {
+					aliases[id.Name] = src
+				}
+			}
+			return true
+		}
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
 			return true
@@ -209,8 +225,9 @@ func checkHotBody(pkg *Package, f *ast.File, body ast.Node, inLoop bool, aliases
 			checkHotBody(pkg, f, n.Body, true, aliases, resets, report)
 			return false
 		case *ast.GoStmt:
-			// The goroutine launch itself is ticksafe's jurisdiction; the
-			// spawned worker's body is still hot code.
+			report(n.Pos(), "goroutine launch on the per-tick path allocates every tick; start a persistent worker pool at construction")
+			// The spawned body is still hot code; its literal is already
+			// reported with the launch.
 			if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				for _, arg := range n.Call.Args {
 					checkHotParts(pkg, f, inLoop, aliases, resets, report, arg)

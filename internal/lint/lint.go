@@ -12,10 +12,10 @@
 //   - floatcmp: no ==/!= between floating-point values in the neuron and
 //     energy arithmetic paths (comparisons against exactly-representable
 //     literal zero are allowed as divide-by-zero guards).
-//   - ticksafe: goroutines only inside internal/compass, only as inline
-//     worker func literals that signal completion with defer wg.Done(), and
-//     those workers may write captured state only through per-worker
-//     indexed slots.
+//   - ticksafe: goroutines only inside internal/compass, only as pool
+//     workers (an inline func literal whose body is one `for … range ch`
+//     loop calling Done() once per iteration), and those workers may write
+//     captured state only through per-worker indexed slots.
 //
 // Real-time serving safety (behind the paper's f_max ≈ 1 kHz operating
 // claim: the per-tick hot path must stay allocation-free and the session

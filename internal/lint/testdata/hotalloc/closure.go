@@ -11,10 +11,10 @@ func StepDense(cores []int, visit func(func(int))) {
 	for i := range cores {
 		visit(func(v int) { cur = i + v }) // want `closure every iteration`
 	}
-	// A goroutine launch is ticksafe's jurisdiction, not an allocation
-	// finding — but its body is still hot code.
+	// A goroutine launch allocates every tick, in a loop or not, and its
+	// body is still hot code.
 	for range cores {
-		go func() {
+		go func() { // want `goroutine launch on the per-tick path`
 			_ = make([]int, 8) // want `make on the per-tick path`
 		}()
 	}

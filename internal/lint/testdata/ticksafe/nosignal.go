@@ -2,5 +2,5 @@
 package compass
 
 func bad() {
-	go func() { println("fire and forget") }() // want `no completion signal`
+	go func() { println("fire and forget") }() // want `not a pool worker`
 }

@@ -4,18 +4,23 @@ package compass
 import "sync"
 
 type engine struct {
-	outputs   []int
-	perWorker [][]int
+	outputs []int
+	wg      sync.WaitGroup
 }
 
-func (e *engine) step(workers int) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e.outputs = append(e.outputs, w) // want `data race`
-		}(w)
+// A pool worker of the sanctioned shape that appends to one shared buffer:
+// every worker writes the same field.
+func (e *engine) start(workers int) []chan int {
+	peers := make([]chan int, workers)
+	for w := range peers {
+		ch := make(chan int, 1)
+		peers[w] = ch
+		go func() {
+			for v := range ch {
+				e.outputs = append(e.outputs, v) // want `data race`
+				e.wg.Done()
+			}
+		}()
 	}
-	wg.Wait()
+	return peers
 }

@@ -26,3 +26,50 @@ func finish(s *span) {
 		defer s.Done()
 	}()
 }
+
+type pool struct {
+	peers []chan int
+	wg    sync.WaitGroup
+}
+
+// start is the compass worker pool: each worker Dones once per message on
+// its start channel, and the Add belongs before the send (step), not
+// before the spawn. No findings.
+func (p *pool) start(workers int) {
+	for w := 0; w < workers; w++ {
+		ch := make(chan int, 1)
+		p.peers = append(p.peers, ch)
+		go func() {
+			for range ch {
+				p.wg.Done()
+			}
+		}()
+	}
+}
+
+func (p *pool) step() {
+	p.wg.Add(len(p.peers))
+	for _, ch := range p.peers {
+		ch <- 1
+	}
+	p.wg.Wait()
+}
+
+// startAndStep starts the pool, adds a worker inline and runs the first
+// phase in one function: neither the helper's Dones nor the inline worker's
+// are owed to a spawn. No findings.
+func (p *pool) startAndStep(workers int) {
+	p.start(workers)
+	ch := make(chan int, 1)
+	p.peers = append(p.peers, ch)
+	go func() {
+		for range ch {
+			p.wg.Done()
+		}
+	}()
+	p.wg.Add(len(p.peers))
+	for _, ch := range p.peers {
+		ch <- 1
+	}
+	p.wg.Wait()
+}

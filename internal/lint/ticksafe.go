@@ -3,20 +3,25 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // TickSafe returns the concurrency-pattern analyzer. The kernel is
-// single-threaded everywhere except internal/compass, whose Step runs the
-// documented semi-synchronous worker pattern: inline `go func` worker
-// literals joined by a sync.WaitGroup, with two barriers per tick. ticksafe
+// single-threaded everywhere except internal/compass, whose engine runs the
+// semi-synchronous worker pattern: a pool of persistent workers, started at
+// construction, each running one phase per message on its start channel and
+// signalling a reused sync.WaitGroup, with two barriers per tick. ticksafe
 // enforces three rules:
 //
 //  1. No goroutine launches in kernel packages outside internal/compass.
-//  2. In internal/compass, every `go` statement is an inline func literal
-//     that signals completion with `defer wg.Done()`.
-//  3. A WaitGroup-managed worker may assign to captured (outer-scope)
-//     variables only through an indexed slot (e.g. perWorker[w] = ...), the
-//     share-nothing discipline that makes the compute phase race-free.
+//  2. In internal/compass, every `go` statement is a pool worker: an inline
+//     func literal whose body is one `for … range ch` loop over a channel
+//     that calls Done() once per iteration. Closing ch is its shutdown arm.
+//     A per-tick fork-join (`go func() { defer wg.Done(); … }()`) is not
+//     the pattern: it pays a goroutine every phase.
+//  3. A pool worker may assign to captured (outer-scope) variables only
+//     through an indexed slot (e.g. perWorker[w] = ...), the share-nothing
+//     discipline that makes the compute phase race-free.
 //
 // With call-graph context (RunWithContext), rule 1 is interprocedural for
 // the explicitly listed kernel packages: calling a module helper that
@@ -27,7 +32,7 @@ import (
 func TickSafe() *Analyzer {
 	return &Analyzer{
 		Name:     "ticksafe",
-		Doc:      "restrict goroutines and shared-state writes to the Compass worker pattern",
+		Doc:      "restrict goroutines and shared-state writes to the Compass worker pool",
 		Packages: KernelPackages,
 		Run:      runTickSafe,
 	}
@@ -47,11 +52,11 @@ func runTickSafe(pkg *Package, report ReportFunc) {
 			}
 			fl, ok := g.Call.Fun.(*ast.FuncLit)
 			if !ok {
-				report(g.Pos(), "goroutine must be an inline worker func literal with completion signalling")
+				report(g.Pos(), "goroutine must be an inline pool-worker func literal")
 				return true
 			}
-			if !hasDeferDone(fl.Body) {
-				report(g.Pos(), "worker goroutine has no completion signal (defer wg.Done())")
+			if msg := poolWorkerShape(pkg, fl); msg != "" {
+				report(g.Pos(), "%s", msg)
 				return true
 			}
 			checkWorkerWrites(fl, report)
@@ -82,23 +87,59 @@ func runTickSafe(pkg *Package, report ReportFunc) {
 	}
 }
 
-// hasDeferDone reports whether body contains `defer x.Done()`.
-func hasDeferDone(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			if sel, ok := d.Call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
-				found = true
-			}
+// poolWorkerShape returns why fl is not a pool worker, or "" when it is: its
+// body is one range loop over a channel, and that loop's body calls Done()
+// exactly once, as one of its own statements.
+func poolWorkerShape(pkg *Package, fl *ast.FuncLit) string {
+	var loop *ast.RangeStmt
+	if len(fl.Body.List) == 1 {
+		loop, _ = fl.Body.List[0].(*ast.RangeStmt)
+	}
+	if loop == nil || !isChanExpr(pkg, loop.X) {
+		return "goroutine is not a pool worker: its body must be one `for … range ch` loop, started once, not a spawn per tick"
+	}
+	top, all := 0, 0
+	for _, st := range loop.Body.List {
+		if es, ok := st.(*ast.ExprStmt); ok && isDoneCall(es.X) {
+			top++
 		}
-		return !found
+	}
+	ast.Inspect(loop.Body, func(n ast.Node) bool {
+		if isDoneCall(n) {
+			all++
+		}
+		return true
 	})
-	return found
+	if top != 1 || all != 1 {
+		return "pool worker must signal completion once per iteration: exactly one Done() statement in its loop body"
+	}
+	return ""
 }
 
-// checkWorkerWrites flags assignments and ++/-- inside a WaitGroup-managed
-// worker whose target is a captured variable reached without any index
-// expression: `s.outputs = append(...)` races between workers, while
+// isDoneCall reports whether n is an argument-less `x.Done()` call.
+func isDoneCall(n ast.Node) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Done"
+}
+
+// isChanExpr reports whether e has channel type; without type information
+// (a stubbed import) it gives e the benefit of the doubt.
+func isChanExpr(pkg *Package, e ast.Expr) bool {
+	t := pkg.TypeOf(e)
+	if t == nil {
+		return true
+	}
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
+}
+
+// checkWorkerWrites flags assignments and ++/-- inside a pool worker whose
+// target is a captured variable reached without any index expression:
+// `s.outputs = append(...)` races between workers, while
 // `s.outbox[w][dst] = append(...)` is the sanctioned per-worker slot.
 func checkWorkerWrites(fl *ast.FuncLit, report ReportFunc) {
 	local := localNames(fl)

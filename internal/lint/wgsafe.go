@@ -11,7 +11,7 @@ import (
 // packages. sync.WaitGroup's contract is positional, not just pairwise:
 // the Add must happen-before the goroutine that Dones, or Wait can observe
 // a zero counter and return while work is still being spawned. Three
-// rules, all of which the compass fork-join already obeys and the batched
+// rules, all of which the compass worker pool obeys and the batched
 // session scheduler will need:
 //
 //  1. Add before the spawning go: a go statement whose goroutine calls
@@ -24,6 +24,11 @@ import (
 //     canonical WaitGroup bug — Wait may have already returned.
 //  3. No Wait-reuse overlap: a goroutine that Waits while the spawning
 //     function keeps Adding afterwards overlaps two uses of the counter.
+//
+// A Done inside a `for … range ch` loop answers one message, not the spawn:
+// the compass pool worker Dones once per phase it is sent, and the Add
+// belongs before the send. Such per-message Dones are outside rule 1 and
+// outside the summaries.
 //
 // WaitGroups are identified by expression path, by resolved sync.WaitGroup
 // type where type info reaches, and by *sync.WaitGroup parameter syntax in
@@ -52,20 +57,21 @@ func WgSafe() *Analyzer {
 
 // wgUse is one statement-position WaitGroup method call.
 type wgUse struct {
-	path string // expression path of the WaitGroup ("wg", "s.wg")
-	op   string // Add, Done, Wait
-	pos  token.Pos
-	inGo bool // lexically inside a go-spawned func literal
+	path   string // expression path of the WaitGroup ("wg", "s.wg")
+	op     string // Add, Done, Wait
+	pos    token.Pos
+	inGo   bool // lexically inside a go-spawned func literal
+	perMsg bool // lexically inside a range loop over a channel
 }
 
 // collectWgUses gathers the statement-position Add/Done/Wait calls of one
 // body. Done and Wait are only meaningful as statements (ctx.Done() used
 // as a channel operand is not a WaitGroup Done); Add must carry exactly
 // one argument.
-func collectWgUses(body *ast.BlockStmt) []wgUse {
+func collectWgUses(pkg *Package, body *ast.BlockStmt) []wgUse {
 	var uses []wgUse
-	var walk func(n ast.Node, inGo bool)
-	record := func(call *ast.CallExpr, inGo bool) bool {
+	var walk func(n ast.Node, inGo, perMsg bool)
+	record := func(call *ast.CallExpr, inGo, perMsg bool) bool {
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return false
@@ -87,33 +93,38 @@ func collectWgUses(body *ast.BlockStmt) []wgUse {
 		if path == "" {
 			return false
 		}
-		uses = append(uses, wgUse{path: path, op: op, pos: call.Pos(), inGo: inGo})
+		uses = append(uses, wgUse{path: path, op: op, pos: call.Pos(), inGo: inGo, perMsg: perMsg})
 		return true
 	}
-	walk = func(n ast.Node, inGo bool) {
+	walk = func(n ast.Node, inGo, perMsg bool) {
 		ast.Inspect(n, func(node ast.Node) bool {
 			switch x := node.(type) {
 			case *ast.ExprStmt:
-				if call, ok := x.X.(*ast.CallExpr); ok && record(call, inGo) {
+				if call, ok := x.X.(*ast.CallExpr); ok && record(call, inGo, perMsg) {
 					return false
 				}
 			case *ast.DeferStmt:
-				if record(x.Call, inGo) {
+				if record(x.Call, inGo, perMsg) {
 					return false
 				}
 			case *ast.GoStmt:
 				for _, a := range x.Call.Args {
-					walk(a, inGo)
+					walk(a, inGo, perMsg)
 				}
 				if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-					walk(fl.Body, true)
+					walk(fl.Body, true, false)
 				}
 				return false
+			case *ast.RangeStmt:
+				if isChanExpr(pkg, x.X) {
+					walk(x.Body, inGo, true)
+					return false
+				}
 			}
 			return true
 		})
 	}
-	walk(body, false)
+	walk(body, false, false)
 	return uses
 }
 
@@ -219,10 +230,10 @@ func (s *wgSummaries) summary(n *FuncNode, visiting map[*FuncNode]bool) *wgSumma
 		return 0, "", false
 	}
 	// A function that Adds a WaitGroup itself (outside any goroutine) is
-	// internally balanced for it — compass's Step does Add(1)/go/Done/Wait
-	// as a self-contained fork-join. Its Dones are not the caller's debt,
-	// so they do not export into the summary.
-	uses := collectWgUses(n.Decl.Body)
+	// internally balanced for it — a fork-join that does Add(1)/go/Done/Wait
+	// itself. Its Dones are not the caller's debt, so they do not export
+	// into the summary; nor do per-message Dones.
+	uses := collectWgUses(pkg, n.Decl.Body)
 	selfAdds := map[string]bool{}
 	for _, u := range uses {
 		if u.op == "Add" && !u.inGo {
@@ -230,7 +241,7 @@ func (s *wgSummaries) summary(n *FuncNode, visiting map[*FuncNode]bool) *wgSumma
 		}
 	}
 	for _, u := range uses {
-		if u.op != "Done" || selfAdds[u.path] {
+		if u.op != "Done" || u.perMsg || selfAdds[u.path] {
 			continue
 		}
 		idx, field, ok := classify(u.path)
@@ -369,7 +380,7 @@ func callReceiverPath(call *ast.CallExpr) string {
 
 // checkWgFunc applies the three rules to one function.
 func checkWgFunc(pkg *Package, prog *Program, sums *wgSummaries, n *FuncNode, report ReportFunc) {
-	uses := collectWgUses(n.Decl.Body)
+	uses := collectWgUses(pkg, n.Decl.Body)
 
 	// Candidate WaitGroup paths: seen with two distinct operations (Add
 	// and Done/Wait — a lone .Add() could be a metrics counter), or
@@ -425,7 +436,7 @@ func checkWgFunc(pkg *Package, prog *Program, sums *wgSummaries, n *FuncNode, re
 				}
 			}
 			if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-				for _, u := range collectWgUses(fl.Body) {
+				for _, u := range collectWgUses(pkg, fl.Body) {
 					switch u.op {
 					case "Wait":
 						if addsAfter(u.path, x.Pos()) && (candidate(u.path) || isWaitGroupExprAt(pkg, fl.Body, u)) {
@@ -523,8 +534,8 @@ func goDoneTargets(pkg *Package, prog *Program, sums *wgSummaries, n *FuncNode, 
 		edges[e.Pos] = e
 	}
 	if fl, ok := g.Call.Fun.(*ast.FuncLit); ok {
-		for _, u := range collectWgUses(fl.Body) {
-			if u.op == "Done" && !u.inGo && (candidate(u.path) || isWaitGroupExprAt(pkg, fl.Body, u)) {
+		for _, u := range collectWgUses(pkg, fl.Body) {
+			if u.op == "Done" && !u.inGo && !u.perMsg && (candidate(u.path) || isWaitGroupExprAt(pkg, fl.Body, u)) {
 				targets[u.path] = true
 			}
 		}

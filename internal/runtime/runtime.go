@@ -158,7 +158,8 @@ type Session struct {
 // one given by WithScheduler, or else a one-worker scheduler the session
 // owns. The caller must not touch eng directly afterwards: the session
 // owns it until Close. A shared scheduler enforces admission control, so
-// New can fail with ErrSaturated or ErrSchedulerClosed.
+// New can fail with ErrSaturated or ErrSchedulerClosed; eng then stays the
+// caller's.
 func New(eng sim.Engine, opts ...Option) (*Session, error) {
 	s := &Session{
 		eng:    eng,
@@ -707,9 +708,10 @@ func (s *Session) snapshot() Stats {
 }
 
 // Close retires the session from its scheduler (and stops the scheduler
-// when the session owns it), releases subscribers, and fails all pending
-// waiters with ErrClosed. Closing twice is a no-op. The underlying engine
-// is left at its final state and may be used directly afterwards.
+// when the session owns it), releases subscribers, fails all pending
+// waiters with ErrClosed, and closes the engine if it implements io.Closer.
+// Closing twice is a no-op. The underlying engine is left at its final
+// state and may be used directly afterwards.
 func (s *Session) Close() error {
 	err := s.do(context.Background(), func() { s.closing = true })
 	if err != nil && !errors.Is(err, ErrClosed) {

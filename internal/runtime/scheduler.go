@@ -29,6 +29,7 @@ package runtime
 
 import (
 	"errors"
+	"io"
 	"math"
 	stdruntime "runtime"
 	"sync"
@@ -580,8 +581,9 @@ func (s *Session) watchInputs() {
 	}
 }
 
-// shutdown retires a closing session: fail waiters with ErrClosed and
-// release subscribers.
+// shutdown retires a closing session: fail waiters with ErrClosed, release
+// subscribers, and close the engine if it is an io.Closer (compass stops its
+// worker pool and stays usable).
 func (s *Session) shutdown() {
 	s.finishRun(ErrClosed)
 	for _, sub := range s.subs {
@@ -589,6 +591,9 @@ func (s *Session) shutdown() {
 		close(sub.ch)
 	}
 	s.subs = nil
+	if c, ok := s.eng.(io.Closer); ok {
+		c.Close() //nolint:errcheck // releasing an engine has nothing to report
+	}
 }
 
 // service is one scheduler dispatch: drain pending commands and inputs,

@@ -395,7 +395,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	sess, err := runtime.New(eng, opts...)
 	if err != nil {
 		// Admission control refused the session (or the scheduler is
-		// already down because the server is closing).
+		// already down because the server is closing). The engine is
+		// still ours: release its workers.
+		if c, ok := eng.(io.Closer); ok {
+			c.Close() //nolint:errcheck
+		}
 		writeErr(w, err)
 		return
 	}

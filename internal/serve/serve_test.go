@@ -233,6 +233,25 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestDeleteStopsCompassPool: deleting a session closes its engine, so a
+// two-worker compass session leaves no pool worker behind.
+func TestDeleteStopsCompassPool(t *testing.T) {
+	leakcheck.Check(t)
+	ts := newTestServer(t, serve.Config{})
+	var info serve.SessionInfo
+	if st := call(t, "POST", ts.URL+"/v1/sessions",
+		serve.CreateRequest{Engine: "compass", Workers: 2, Netgen: netgenSpec(1)}, &info); st != http.StatusCreated {
+		t.Fatalf("create = %d", st)
+	}
+	base := ts.URL + "/v1/sessions/" + info.ID
+	if st := call(t, "POST", base+"/run", serve.RunRequest{Ticks: 20, Wait: true}, nil); st != http.StatusOK {
+		t.Fatalf("run = %d", st)
+	}
+	if st := call(t, "DELETE", base, nil, nil); st != http.StatusOK {
+		t.Fatalf("delete = %d", st)
+	}
+}
+
 func TestCreateValidation(t *testing.T) {
 	ts := newTestServer(t, serve.Config{})
 	for name, req := range map[string]serve.CreateRequest{

@@ -235,7 +235,7 @@ func lockstep(t *testing.T, ticks int, s script) {
 	configs := kindsNet(t)
 	ref := newRef(t, kindsMesh, configs)
 	arms, names := []arm{ref}, []string{"reference"}
-	for _, w := range []int{0, 1, 2, 3} { // 0 is chip
+	for _, w := range []int{0, 1, 2, 3, 5, 8} { // 0 is chip
 		name, label := "compass", fmt.Sprintf("compass(%d)", w)
 		if w == 0 {
 			name, label = "chip", "chip"
@@ -365,6 +365,29 @@ func TestDispatchAcrossCheckpointRestore(t *testing.T) {
 		},
 		200: func(_ *testing.T, a arm) { a.EnableCore(2, 1) },
 	})
+}
+
+// TestDispatchAcrossPoolLifecycle repartitions the compass arms while their
+// worker pools run, closes the pools, and keeps stepping: the caller then runs
+// every worker's share, which must compute the same ticks. Close is idempotent.
+func TestDispatchAcrossPoolLifecycle(t *testing.T) {
+	type pooled interface {
+		Rebalance()
+		Close() error
+	}
+	rebalance := func(_ *testing.T, a arm) {
+		if p, ok := a.(pooled); ok {
+			p.Rebalance()
+		}
+	}
+	closePool := func(t *testing.T, a arm) {
+		if p, ok := a.(pooled); ok {
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lockstep(t, 260, script{60: rebalance, 120: closePool, 170: rebalance, 220: closePool})
 }
 
 // TestDispatchTable checks the compiled table against the definitions it

@@ -16,11 +16,9 @@
 #   chip    — 0, exactly: the sequential kernel must not touch the heap
 #             per tick. tnproof statically proves the hot set is
 #             escape-free; this pins the dynamic side to match.
-#   compass — 10 (measures 8): the parallel engine starts two goroutines per
-#             worker per tick (compute phase, delivery phase; 4 workers
-#             here), each one allocation for its argument frame — the
-#             inherent cost of its fork-join tick. The slack absorbs
-#             scheduler-dependent variance only.
+#   compass — 0, exactly, at 4 workers: the worker pool is started once, at
+#             construction, and each phase signals it through per-worker
+#             channels and a reused WaitGroup, neither of which allocates.
 #
 # The static complements are tnlint's hotalloc analyzer and tnproof's
 # escape-diagnostic goldens; this script catches what escape analysis
@@ -29,7 +27,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 CHIP_BUDGET=${CHIP_BUDGET:-0}
-COMPASS_BUDGET=${COMPASS_BUDGET:-10}
+COMPASS_BUDGET=${COMPASS_BUDGET:-0}
 RATCHET_SLACK=${RATCHET_SLACK:-2}
 
 out=$(go test -run '^$' -bench '^BenchmarkPerTickAllocs$' -benchmem -benchtime 2000x .)
