@@ -47,7 +47,7 @@ proof-update:
 # closed recurrent sample (every 8th of the 88 sweep networks on a 4x4
 # grid) must report zero findings with the full analysis enabled.
 verify-models:
-	go run ./cmd/tnverify -sweep-grid 4 -sweep-every 8 -assume-inputs=false -v
+	go run ./cmd/tnverify -sweep-grid 4 -sweep-every 1 -assume-inputs=false -v
 
 race:
 	go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/...

@@ -352,10 +352,16 @@ func Analyze(mesh router.Mesh, configs []*core.Config, opts Options) (*Report, e
 	if err != nil {
 		return nil, err
 	}
+	return m.run(selected), nil
+}
+
+// run walks the live cores through the given checks, finishes them, and
+// assembles the report.
+func (m *Model) run(selected []*Check) *Report {
 	var diags []Diagnostic
 	suppressed := 0
 	report := func(d Diagnostic) {
-		for _, s := range opts.Suppressions {
+		for _, s := range m.Opts.Suppressions {
 			if s.matches(d) {
 				suppressed++
 				return
@@ -376,7 +382,7 @@ func Analyze(mesh router.Mesh, configs []*core.Config, opts Options) (*Report, e
 		}
 	}
 	sortDiags(diags)
-	return &Report{Diags: diags, Suppressed: suppressed, NoC: m.noc}, nil
+	return &Report{Diags: diags, Suppressed: suppressed, NoC: m.noc}
 }
 
 // selectChecks resolves names (nil = all) against the suite.

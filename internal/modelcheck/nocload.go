@@ -8,11 +8,17 @@ import (
 
 // nocLoadCheck bounds worst-case per-tick NoC traffic without simulating:
 // every neuron that can fire (per the interval analysis) is assumed to
-// emit one packet per tick, and its packet is walked along the
-// dimension-order route, accumulating per-directed-link loads, hop totals
-// (the paper's mean-hop-distance characterization axis), and chip-boundary
-// merge/split crossings. With a configured per-link capacity, overloaded
-// links become warnings; the aggregate summary always lands in the report.
+// emit one packet per tick along its dimension-order route, accumulating
+// per-directed-link loads, hop totals (the paper's mean-hop-distance
+// characterization axis), and chip-boundary merge/split crossings. With a
+// configured per-link capacity, overloaded links become warnings; the
+// aggregate summary always lands in the report.
+//
+// Nothing walks a route hop by hop. Hops and crossings come from the
+// closed-form router.Mesh.DOR (the function the engines' own accounting is
+// tested against), and a route's link loads are two ranges — the x leg
+// along row src.Y, the y leg down column dst.X — each recorded as a +1/−1
+// pair in a difference array and prefix-summed once in Finish.
 //
 // With fault-disabled cores present, hop and crossing totals follow the
 // detour routes, but per-link attribution is skipped (detour paths are an
@@ -22,13 +28,21 @@ func nocLoadCheck() *Check {
 	// Directed link loads: for each core, one counter per exit direction
 	// (+x, -x, +y, -y).
 	dirs := [4]router.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
-	var links [][4]int32
+	// diff[d] is direction d's difference array over a (W+1)×(H+1) grid,
+	// index y*stride+x with stride W+1. The extra column and row hold the
+	// −1 that closes a leg ending on the mesh's last column or row, so it
+	// cannot spill into the next row's first cell.
+	var diff [4][]int32
+	var stride int
 	return &Check{
 		Name: "nocload",
 		Doc:  "worst-case per-link packet loads along DOR routes, mean hop distance, and tile-boundary crossing pressure",
 		Core: func(m *Model, c *coreView, report func(Diagnostic)) {
-			if links == nil {
-				links = make([][4]int32, m.Mesh.W*m.Mesh.H)
+			if diff[0] == nil {
+				stride = m.Mesh.W + 1
+				for d := range diff {
+					diff[d] = make([]int32, stride*(m.Mesh.H+1))
+				}
 			}
 			p, cfg := c.p, c.cfg
 			iv := c.neuronIntervals(m)
@@ -50,38 +64,35 @@ func nocLoadCheck() *Check {
 					}
 					continue
 				}
-				// Walk the x-then-y DOR path, loading each directed link.
-				cur := p
-				for cur != dst {
-					var step router.Point
-					if cur.X != dst.X {
-						step = dirs[0]
-						if dst.X < cur.X {
-							step = dirs[1]
-						}
-					} else {
-						step = dirs[2]
-						if dst.Y < cur.Y {
-							step = dirs[3]
-						}
-					}
-					di := 0
-					for k, d := range dirs {
-						if d == step {
-							di = k
-						}
-					}
-					links[cur.Y*m.Mesh.W+cur.X][di]++
-					next := router.Point{X: cur.X + step.X, Y: cur.Y + step.Y}
-					s.Hops++
-					if m.Mesh.TileW > 0 && m.Mesh.TileH > 0 && m.Mesh.ChipOf(cur) != m.Mesh.ChipOf(next) {
-						s.Crossings++
-					}
-					cur = next
+				r := m.Mesh.DOR(p, dst)
+				s.Hops += int64(r.Hops)
+				s.Crossings += int64(r.Crossings)
+				// x leg on row p.Y: links leave cells [p.X, dst.X) going +x,
+				// or cells (dst.X, p.X] going −x.
+				row := p.Y * stride
+				if dst.X > p.X {
+					diff[0][row+p.X]++
+					diff[0][row+dst.X]--
+				} else if dst.X < p.X {
+					diff[1][row+dst.X+1]++
+					diff[1][row+p.X+1]--
+				}
+				// y leg on column dst.X: cells [p.Y, dst.Y) going +y, or
+				// cells (dst.Y, p.Y] going −y.
+				if dst.Y > p.Y {
+					diff[2][p.Y*stride+dst.X]++
+					diff[2][dst.Y*stride+dst.X]--
+				} else if dst.Y < p.Y {
+					diff[3][(dst.Y+1)*stride+dst.X]++
+					diff[3][(p.Y+1)*stride+dst.X]--
 				}
 			}
 		},
 		Finish: func(m *Model, report func(Diagnostic)) {
+			var links [][4]int32
+			if diff[0] != nil {
+				links = linkLoads(m.Mesh.W, m.Mesh.H, stride, &diff)
+			}
 			// Scan links in deterministic order for the hotspot and any
 			// over-capacity warnings.
 			for i := range links {
@@ -110,4 +121,25 @@ func nocLoadCheck() *Check {
 			m.noc = s
 		},
 	}
+}
+
+// linkLoads prefix-sums the difference arrays in place — the x directions
+// along each row, the y directions down each column — and returns each
+// core's four directed link loads, row-major over the w×h mesh.
+func linkLoads(w, h, stride int, diff *[4][]int32) [][4]int32 {
+	links := make([][4]int32, w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := y*stride + x
+			for d := range diff {
+				if d < 2 && x > 0 {
+					diff[d][i] += diff[d][i-1]
+				} else if d >= 2 && y > 0 {
+					diff[d][i] += diff[d][i-stride]
+				}
+				links[y*w+x][d] = diff[d][i]
+			}
+		}
+	}
+	return links
 }

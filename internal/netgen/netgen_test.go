@@ -1,6 +1,9 @@
 package netgen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -38,6 +41,9 @@ func TestValidate(t *testing.T) {
 		{Grid: grid, RateHz: 0, SynPerNeuron: 0},
 		{Grid: grid, RateHz: 200, SynPerNeuron: 256},
 		{Grid: grid, RateHz: 0.2, SynPerNeuron: 1},
+		{Grid: grid, Locality: 0.5, LocalRadius: (math.MaxInt - 1) / 2},
+		{Grid: router.Mesh{W: 1024, H: 1024}},
+		{Grid: router.Mesh{W: 1 << 20, H: 1}},
 	}
 	for i, p := range good {
 		if err := p.Validate(); err != nil {
@@ -51,6 +57,12 @@ func TestValidate(t *testing.T) {
 		{Grid: grid, RateHz: 0.1}, // threshold overflows 20-bit potential
 		{Grid: grid, SynPerNeuron: -1},
 		{Grid: grid, SynPerNeuron: 257},
+		{Grid: grid, Locality: 0.5, LocalRadius: -3}, // Build would draw Intn(-5)
+		{Grid: grid, LocalRadius: -1},
+		{Grid: grid, Locality: 0.5, LocalRadius: math.MaxInt/2 + 1}, // 2r+1 overflows
+		{Grid: router.Mesh{W: 1025, H: 1024}},                       // one row past 2²⁰ cores
+		{Grid: router.Mesh{W: 1 << 21, H: 1}},
+		{Grid: router.Mesh{W: math.MaxInt, H: math.MaxInt}}, // W·H wraps to 1
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -360,6 +372,55 @@ func TestDelaysSpanFullRange(t *testing.T) {
 	}
 	if seen[0] || seen[16] {
 		t.Fatal("out-of-range delay generated")
+	}
+}
+
+// configsDigest hashes configs in canonical byte order: every field of every
+// core, little-endian, in declaration order, independent of memory layout.
+func configsDigest(t *testing.T, cfgs []*core.Config) string {
+	t.Helper()
+	h := sha256.New()
+	for _, cfg := range cfgs {
+		if err := binary.Write(h, binary.LittleEndian, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBuildGolden pins the generated bits: a change in draw order, in the
+// construction PRNG, or in how a draw becomes a config field changes these
+// digests. They are a frozen contract like the PRNG stream itself (DESIGN
+// §6) — a speedup must leave every one of them unchanged.
+func TestBuildGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Params
+		want string
+	}{
+		{"tonic", Params{Grid: router.Mesh{W: 3, H: 2}, RateHz: 20, SynPerNeuron: 128, Seed: 1},
+			"2a4438f70df21d65721e9a8ebef0bf787908f9fa0b0894146168105ad54d7e17"},
+		{"driven-tapped", Params{Grid: router.Mesh{W: 2, H: 3}, RateHz: 10, SynPerNeuron: 32, Seed: 2,
+			DrivenFraction: 0.875, OutputEvery: 64},
+			"7f35829b16a89dcff84a7fef597163609aa5764bea982bbfb6eac653485256be"},
+		{"stochastic", Params{Grid: router.Mesh{W: 2, H: 2}, RateHz: 100, SynPerNeuron: 77, Seed: 9,
+			Stochastic: true},
+			"940f216e949b93d85f949b62f2456310f5ecd8902395283cec49d1ad55bd49c7"},
+		{"locality", Params{Grid: router.Mesh{W: 4, H: 3}, RateHz: 50, SynPerNeuron: 40, Seed: 4,
+			Locality: 0.5, LocalRadius: 3},
+			"77fe07e4ff3471ecf60d8af0d909ddeadf005d6a695a0f7066b7230a5c3bffef"},
+		{"silent-syn0", Params{Grid: router.Mesh{W: 2, H: 2}, SynPerNeuron: 0, Seed: 5},
+			"94a24e2a22ae7206d72572328cafeee658c4988f97f821e7eb276e6f8830aa07"},
+		{"silent-syn256", Params{Grid: router.Mesh{W: 2, H: 2}, SynPerNeuron: 256, Seed: 6},
+			"ce421476a8988eeda2ba21366d17fab37a76bdd05da938e7041e97d78881861e"},
+	} {
+		cfgs, err := Build(tc.p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := configsDigest(t, cfgs); got != tc.want {
+			t.Errorf("%s: Build digest = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package prng
 
+import "math/bits"
+
 // Rand is the repo's deterministic software pseudo-random generator for
 // network *construction* (netgen wiring, scene synthesis, fault placement) —
 // distinct from the 16-bit hardware LFSR that drives stochastic neural
@@ -56,19 +58,76 @@ func (r *Rand) Int31n(n int32) int32 {
 }
 
 // uint64n returns a uniform value in [0, n) by rejection sampling, so small
-// ranges carry no modulo bias.
+// ranges carry no modulo bias: v is resampled while v >= ^0 - ^0%n, the
+// largest multiple of n that fits in 64 bits, and the result is v % n. Both
+// the bound and the remainder are computed without dividing where that is
+// cheaper, but every draw returns exactly the value of that division form —
+// the stream is frozen.
 func (r *Rand) uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 { // power of two
 		return r.Uint64() & (n - 1)
 	}
-	// Largest multiple of n that fits in 64 bits; resample above it.
-	max := ^uint64(0) - ^uint64(0)%n
+	if n <= smallN {
+		d := &smallDivisors[n]
+		v := r.Uint64()
+		for v >= d.max {
+			v = r.Uint64()
+		}
+		return d.mod(v)
+	}
 	v := r.Uint64()
-	for v >= max {
-		v = r.Uint64()
+	// The bound is at least 2⁶⁴ − n, so only v at or above that can be
+	// rejected, and only then is the bound worth a division.
+	if v >= -n {
+		max := ^uint64(0) - ^uint64(0)%n
+		for v >= max {
+			v = r.Uint64()
+		}
 	}
 	return v % n
 }
+
+// smallN is the largest range uint64n serves from smallDivisors. Netgen's
+// crossbar shuffle draws from every range in [2, 256] once per neuron.
+const smallN = 256
+
+// divisor holds, for one range n, the rejection bound and the 128-bit
+// reciprocal M = ⌊(2¹²⁸−1)/n⌋+1 of Lemire, Kaser & Kurz, "Faster remainder
+// by direct computation" (2019): for every 64-bit v,
+// v mod n = ⌊(M·v mod 2¹²⁸)·n / 2¹²⁸⌋, since M carries 128 ≥ 64 + log₂n
+// fractional bits.
+type divisor struct {
+	n        uint64
+	max      uint64 // ^0 - ^0%n
+	mHi, mLo uint64 // M
+}
+
+// mod returns v % d.n with three 64×64→128-bit multiplies.
+func (d *divisor) mod(v uint64) uint64 {
+	// frac = M·v mod 2¹²⁸, the fractional part of v/n scaled by 2¹²⁸.
+	fracHi, fracLo := bits.Mul64(d.mLo, v)
+	fracHi += d.mHi * v
+	// ⌊frac·n / 2¹²⁸⌋: the high word of frac·n, plus the carry out of the
+	// middle word.
+	carryIn, _ := bits.Mul64(fracLo, d.n)
+	hi, mid := bits.Mul64(fracHi, d.n)
+	_, carry := bits.Add64(mid, carryIn, 0)
+	return hi + carry
+}
+
+// smallDivisors[n] serves uint64n(n) for n ≤ smallN (entry 0 is unused).
+var smallDivisors = func() (t [smallN + 1]divisor) {
+	const ones = ^uint64(0)
+	for n := uint64(1); n <= smallN; n++ {
+		// ⌊(2¹²⁸−1)/n⌋ by long division, then + 1 (which wraps to M = 0
+		// for n = 1, still exact: v mod 1 = 0).
+		qHi, rem := ones/n, ones%n
+		qLo, _ := bits.Div64(rem, ones, n)
+		mLo, c := bits.Add64(qLo, 1, 0)
+		t[n] = divisor{n: n, max: ones - ones%n, mHi: qHi + c, mLo: mLo}
+	}
+	return t
+}()
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
@@ -86,15 +145,4 @@ func (r *Rand) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements through swap, as
-// math/rand.Shuffle. It panics if n < 0.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("prng: Shuffle with n < 0")
-	}
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
 }

@@ -104,24 +104,102 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	r := NewRand(11)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		if v < 0 || v >= len(seen) || seen[v] {
-			t.Fatalf("Shuffle broke the multiset: %v", xs)
+// TestSmallDivisorsExact proves the division-free remainder and bound equal
+// the division form for every small range: at the ends of the 64-bit
+// domain, on both sides of the rejection bound, and on random values.
+func TestSmallDivisorsExact(t *testing.T) {
+	const ones = ^uint64(0)
+	r := NewRand(12)
+	for n := uint64(1); n <= smallN; n++ {
+		d := &smallDivisors[n]
+		max := ones - ones%n
+		if d.max != max {
+			t.Fatalf("n=%d: bound %#x, want %#x", n, d.max, max)
 		}
-		seen[v] = true
-	}
-	same := true
-	for i, v := range xs {
-		if v != i {
-			same = false
+		check := func(v uint64) {
+			if got, want := d.mod(v), v%n; got != want {
+				t.Fatalf("n=%d: mod(%#x) = %d, want %d", n, v, got, want)
+			}
+		}
+		for _, v := range []uint64{0, ones, max - 1, max, max + 1} {
+			check(v)
+		}
+		for i := 0; i < 100000; i++ {
+			check(r.Uint64())
 		}
 	}
-	if same {
-		t.Fatal("Shuffle of 8 elements left them in order (astronomically unlikely)")
+}
+
+// divisionUint64n is uint64n in its reference form: two divisions per draw.
+func divisionUint64n(r *Rand, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	max := ^uint64(0) - ^uint64(0)%n
+	v := r.Uint64()
+	for v >= max {
+		v = r.Uint64()
+	}
+	return v % n
+}
+
+// TestUint64nMatchesDivisionForm runs uint64n and the reference side by side
+// from equal seeds, over the small-range table, the ranges just past it, and
+// ranges whose rejection bound is far from 2⁶⁴ (where resampling is common).
+func TestUint64nMatchesDivisionForm(t *testing.T) {
+	var ns []uint64
+	for n := uint64(1); n <= smallN+8; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 65535, 1<<20+1, 1<<63+1, 3<<62, ^uint64(0))
+	for _, n := range ns {
+		a, b := NewRand(int64(n)), NewRand(int64(n))
+		for i := 0; i < 2000; i++ {
+			if got, want := a.uint64n(n), divisionUint64n(b, n); got != want {
+				t.Fatalf("n=%d draw %d: %d, want %d", n, i, got, want)
+			}
+		}
+		if a.state != b.state {
+			t.Fatalf("n=%d: generators consumed different numbers of words", n)
+		}
+	}
+}
+
+// TestRandDrawsPinned pins the derived draws the way TestRandDeterministic
+// pins Uint64: netgen consumes Intn, Int31n and Perm, so these sequences are
+// part of the same reproducibility contract.
+func TestRandDrawsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n           int
+		intn, int31 []int
+	}{
+		{2, []int{0, 0, 1, 0, 1, 1, 0, 1}, []int{1, 0, 1, 1, 1, 0, 1, 1}},
+		{3, []int{0, 0, 0, 2, 0, 1, 0, 1}, []int{2, 0, 0, 0, 1, 1, 1, 0}},
+		{7, []int{2, 3, 0, 3, 5, 6, 5, 0}, []int{6, 0, 6, 1, 6, 3, 4, 5}},
+		{255, []int{227, 209, 60, 12, 78, 169, 238, 180}, []int{162, 235, 67, 212, 21, 139, 121, 22}},
+		{256, []int{63, 224, 173, 172, 17, 10, 118, 73}, []int{149, 250, 27, 145, 140, 95, 137, 23}},
+		{257, []int{181, 245, 112, 47, 44, 211, 59, 215}, []int{31, 243, 150, 188, 221, 141, 97, 13}},
+		{65535, []int{5533, 55233, 26904, 34784, 39308, 61336, 21495, 10108},
+			[]int{4909, 13621, 6035, 41991, 11596, 62995, 59150, 50762}},
+		{1 << 20, []int{662573, 823493, 359762, 259524, 811425, 325415, 407892, 914179},
+			[]int{132360, 142416, 379026, 747823, 379754, 398894, 793487, 841026}},
+	} {
+		r := NewRand(int64(tc.n))
+		for i, want := range tc.intn {
+			if got := r.Intn(tc.n); got != want {
+				t.Fatalf("Intn(%d) #%d = %d, want %d", tc.n, i, got, want)
+			}
+		}
+		for i, want := range tc.int31 {
+			if got := r.Int31n(int32(tc.n)); int(got) != want {
+				t.Fatalf("Int31n(%d) #%d = %d, want %d", tc.n, i, got, want)
+			}
+		}
+	}
+	want := []int{0, 2, 3, 1, 6, 9, 5, 4, 7, 8}
+	for i, v := range NewRand(42).Perm(10) {
+		if v != want[i] {
+			t.Fatalf("Perm(10) = %v, want %v", NewRand(42).Perm(10), want)
+		}
 	}
 }

@@ -255,14 +255,17 @@ func TestDeleteStopsCompassPool(t *testing.T) {
 func TestCreateValidation(t *testing.T) {
 	ts := newTestServer(t, serve.Config{})
 	for name, req := range map[string]serve.CreateRequest{
-		"no model":        {},
-		"both sources":    {Netgen: netgenSpec(1), ModelPath: "x"},
-		"unknown engine":  {Engine: "gpu", Netgen: netgenSpec(1)},
-		"bad netgen":      {Netgen: &serve.NetgenSpec{Grid: 4, RateHz: 5000}},
-		"missing model":   {ModelPath: filepath.Join(t.TempDir(), "absent.tnm")},
-		"negative rate":   {TickRateHz: -5, Netgen: netgenSpec(1)},
-		"ckpt path only":  {Netgen: netgenSpec(1), CheckpointPath: "x"},
-		"ckpt every only": {Netgen: netgenSpec(1), CheckpointEvery: 10},
+		"no model":       {},
+		"both sources":   {Netgen: netgenSpec(1), ModelPath: "x"},
+		"unknown engine": {Engine: "gpu", Netgen: netgenSpec(1)},
+		"bad netgen":     {Netgen: &serve.NetgenSpec{Grid: 4, RateHz: 5000}},
+		"negative local radius": {Netgen: &serve.NetgenSpec{Grid: 2, RateHz: 10, SynPerNeuron: 8,
+			Locality: 0.5, LocalRadius: -3}},
+		"grid past core cap": {Netgen: &serve.NetgenSpec{Grid: 1025, RateHz: 10, SynPerNeuron: 8}},
+		"missing model":      {ModelPath: filepath.Join(t.TempDir(), "absent.tnm")},
+		"negative rate":      {TickRateHz: -5, Netgen: netgenSpec(1)},
+		"ckpt path only":     {Netgen: netgenSpec(1), CheckpointPath: "x"},
+		"ckpt every only":    {Netgen: netgenSpec(1), CheckpointEvery: 10},
 		"ckpt missing dir": {Netgen: netgenSpec(1), CheckpointEvery: 10,
 			CheckpointPath: filepath.Join(t.TempDir(), "no-such-dir", "ckpt.tnc")},
 		"ckpt path is dir": {Netgen: netgenSpec(1), CheckpointEvery: 10,

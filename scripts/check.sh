@@ -24,8 +24,8 @@
 #                      diagnostics in //perf:hot functions against the
 #                      golden budgets in testdata/perfproof/
 #   5. tnverify      — whole-model static verification (see
-#                      internal/modelcheck) over a sample of the generated
-#                      characterization networks: routability,
+#                      internal/modelcheck) over all 88 generated
+#                      characterization networks at 4x4: routability,
 #                      reachability, potential intervals, NoC load bounds,
 #                      stochastic-mode consistency
 #   6. go test       — the full suite with -shuffle=on (test-order
@@ -98,8 +98,8 @@ else
 	go run ./cmd/tnproof
 fi
 
-echo "==> tnverify (characterization sweep sample)"
-go run ./cmd/tnverify -sweep-grid 4 -sweep-every 8 -assume-inputs=false -v
+echo "==> tnverify (all 88 characterization sweep networks)"
+go run ./cmd/tnverify -sweep-grid 4 -sweep-every 1 -assume-inputs=false -v
 
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
