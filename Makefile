@@ -14,7 +14,7 @@ build:
 test:
 	go test ./...
 
-# Full analyzer suite (all fifteen analyzers; see internal/lint). Narrow a
+# Full analyzer suite (all thirteen analyzers; see internal/lint). Narrow a
 # run with e.g. `go run ./cmd/tnlint -only lockorder,chanflow ./...`.
 lint:
 	go run ./cmd/tnlint ./...
@@ -43,9 +43,9 @@ proof:
 proof-update:
 	go run ./cmd/tnproof -update
 
-# Static model verification over the generated characterization suite: a
-# closed recurrent sample (every 8th of the 88 sweep networks on a 4x4
-# grid) must report zero findings with the full analysis enabled.
+# Static model verification over the generated characterization suite:
+# all 88 sweep networks, closed and recurrent on a 4x4 grid, must report
+# zero findings with the full analysis enabled.
 verify-models:
 	go run ./cmd/tnverify -sweep-grid 4 -sweep-every 1 -assume-inputs=false -v
 

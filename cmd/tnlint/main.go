@@ -3,18 +3,18 @@
 // one-to-one equivalence claim (no unseeded randomness, no wall clock, no
 // map-iteration-order leakage, no goroutines outside the sanctioned Compass
 // worker pattern), the serving stack's real-time safety (no per-tick heap
-// traffic in the kernel, no locks across blocking calls, no leakable
-// goroutines, channel-ownership discipline), and whole-program concurrency
-// protocol over the call graph (lock-order cycles, blocking helpers under
-// locks, channel close races, WaitGroup misuse, atomic/plain mixing). See
-// internal/lint.
+// traffic in the kernel, no leakable goroutines), and whole-program
+// concurrency protocol over the call graph (lock-order cycles and leaked
+// locks, blocking under locks, channel ownership and close races, WaitGroup
+// misuse, atomic/plain mixing). See internal/lint.
 //
 // Usage:
 //
 //	tnlint [-only a,b] [-skip a,b] [-<analyzer>=false] [-json] [-list] [-lockorder-out file] [-apisurface-out file] [packages]
 //
 // Every analyzer also has its own boolean flag (-hotalloc=false disables
-// hotalloc); -only and -skip apply on top for CI one-liners. Packages are
+// hotalloc); -only and -skip apply on top for CI one-liners, and an unknown
+// name in either is a usage error. Packages are
 // ./-relative patterns as for the go tool ("./...",
 // "./internal/compass/...", "./internal/chip"); the default is ./... from
 // the enclosing module root. Findings print as
@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"truenorth/internal/lint"
@@ -60,7 +61,11 @@ func run() int {
 	}
 	flag.Parse()
 
-	analyzers := selectAnalyzers(all, *only, *skip, enabled)
+	analyzers, err := selectAnalyzers(all, *only, *skip, enabled)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tnlint:", err)
+		return 2
+	}
 	if *list {
 		for _, a := range analyzers {
 			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
@@ -156,17 +161,35 @@ func run() int {
 }
 
 // selectAnalyzers applies the per-analyzer boolean flags, then -only/-skip.
-func selectAnalyzers(all []*lint.Analyzer, only, skip string, enabled map[string]*bool) []*lint.Analyzer {
-	set := func(csv string) map[string]bool {
+// A name in -only or -skip that is not an analyzer is an error listing the
+// valid names: a misspelled or retired name would otherwise select the full
+// suite without a word.
+func selectAnalyzers(all []*lint.Analyzer, only, skip string, enabled map[string]*bool) ([]*lint.Analyzer, error) {
+	names := make([]string, len(all))
+	for i, a := range all {
+		names[i] = a.Name
+	}
+	set := func(flagName, csv string) (map[string]bool, error) {
 		m := map[string]bool{}
 		for _, n := range strings.Split(csv, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				m[n] = true
+			if n = strings.TrimSpace(n); n == "" {
+				continue
 			}
+			if !slices.Contains(names, n) {
+				return nil, fmt.Errorf("-%s: unknown analyzer %q (valid: %s)", flagName, n, strings.Join(names, ", "))
+			}
+			m[n] = true
 		}
-		return m
+		return m, nil
 	}
-	onlySet, skipSet := set(only), set(skip)
+	onlySet, err := set("only", only)
+	if err != nil {
+		return nil, err
+	}
+	skipSet, err := set("skip", skip)
+	if err != nil {
+		return nil, err
+	}
 	var out []*lint.Analyzer
 	for _, a := range all {
 		if on := enabled[a.Name]; on != nil && !*on {
@@ -180,7 +203,7 @@ func selectAnalyzers(all []*lint.Analyzer, only, skip string, enabled map[string
 		}
 		out = append(out, a)
 	}
-	return out
+	return out, nil
 }
 
 // resolve expands go-style package patterns into module import paths.

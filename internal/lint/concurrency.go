@@ -4,14 +4,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"sort"
 	"strings"
 )
 
-// ConcurrencyPackages are the goroutine-heavy packages the whole-program
-// concurrency analyzers (lockorder, chanflow, wgsafe) gate: the session
-// driver, the HTTP serving layer, the parallel Compass engine, and the
-// engine registry. The scale-out roadmap items (sharded engines, batched
-// session scheduling) all land inside this set.
+// ConcurrencyPackages are the goroutine-heavy packages the concurrency
+// analyzers (goctx, lockorder, chanflow, wgsafe) gate: the session driver,
+// the HTTP serving layer, the parallel Compass engine, and the engine
+// substrate. The scale-out roadmap items (sharded engines, batched session
+// scheduling) all land inside this set.
 var ConcurrencyPackages = []string{
 	Module + "/internal/runtime",
 	Module + "/internal/serve",
@@ -87,65 +89,116 @@ func lockDisplay(key string) string {
 	return strings.TrimPrefix(key, localLockPrefix)
 }
 
+// heldHooks are the events a held-lock walk reports; nil hooks are
+// skipped. Every hook that carries the held set fires only while at least
+// one lock is held, except acquire, which fires at every acquisition.
+type heldHooks struct {
+	// acquire fires at each Lock/RLock with the set held before it — the
+	// direct lock-order edges.
+	acquire func(key string, pos token.Pos, held map[string]token.Pos)
+	// call fires at each resolved module-local call edge (go-spawned
+	// edges excluded: the callee runs on its own goroutine with its own
+	// relation to the locks).
+	call func(e CallEdge, held map[string]token.Pos)
+	// block fires at each of the body's own blocking operations — the
+	// HazardBlock sites the Program classified.
+	block func(h Hazard, held map[string]token.Pos)
+	// leak fires at a return, and at the closing brace of a body that
+	// falls off its end, once per lock still held there with no deferred
+	// unlock.
+	leak func(key string, pos token.Pos)
+}
+
 // heldWalker drives a lexical walk of one function body tracking the set
-// of held locks, branching into if/for/select arms with a copy of the set
-// like locksafe does. Two event callbacks feed the interprocedural
-// analyzers:
-//
-//   - onAcquire fires at each Lock/RLock with the set held *before* the
-//     acquisition — the direct lock-order edges.
-//   - onCall fires at each resolved module-local call edge made while at
-//     least one lock is held (go-spawned edges excluded: the callee runs
-//     on its own goroutine with its own relation to the locks).
+// of held locks, branching into if/for/select/switch arms with a copy of
+// the set. It is the suite's one held-lock walk: lockorder listens for
+// acquisitions, calls and leaks, chanflow for calls and blocking sites.
 //
 // Deferred unlocks keep the lock in the held set: for ordering and
-// blocking purposes a deferred release happens too late to matter. Func
-// literals — stored, deferred, or go-spawned — walk as fresh scopes with
-// an empty held set; they run with whatever is held at their eventual call
-// site, which this lexical walk cannot know.
+// blocking purposes a deferred release happens too late to matter, but it
+// does sanction every return path. Func literals — stored, deferred, or
+// go-spawned — walk as fresh scopes with an empty held set; they run with
+// whatever is held at their eventual call site, which this lexical walk
+// cannot know. The walk is a discipline check, not a proof: the -race tier
+// of check.sh remains its dynamic complement.
 type heldWalker struct {
-	pkg   *Package
-	node  *FuncNode
-	edges map[token.Pos]CallEdge
-	held  map[string]token.Pos
-
-	onAcquire func(key string, pos token.Pos, held map[string]token.Pos)
-	onCall    func(e CallEdge, held map[string]token.Pos)
+	pkg      *Package
+	edges    map[token.Pos]CallEdge
+	blocks   map[token.Pos]Hazard
+	held     map[string]token.Pos
+	deferred map[string]bool
+	hooks    *heldHooks
 }
 
 // walkHeld runs the held-lock walk over one function node.
-func walkHeld(
-	pkg *Package, node *FuncNode,
-	onAcquire func(key string, pos token.Pos, held map[string]token.Pos),
-	onCall func(e CallEdge, held map[string]token.Pos),
-) {
+func walkHeld(pkg *Package, node *FuncNode, hooks heldHooks) {
 	w := &heldWalker{
-		pkg: pkg, node: node,
-		edges:     map[token.Pos]CallEdge{},
-		held:      map[string]token.Pos{},
-		onAcquire: onAcquire, onCall: onCall,
+		pkg:      pkg,
+		edges:    map[token.Pos]CallEdge{},
+		blocks:   map[token.Pos]Hazard{},
+		held:     map[string]token.Pos{},
+		deferred: map[string]bool{},
+		hooks:    &hooks,
 	}
 	for _, e := range node.Calls {
 		if !e.InGo {
 			w.edges[e.Pos] = e
 		}
 	}
-	w.walkBlock(node.Decl.Body)
+	for _, h := range node.hazards[HazardBlock] {
+		w.blocks[h.Pos] = h
+	}
+	w.walkBody(node.Decl.Body)
+}
+
+// walkBody walks a function or literal body, then checks the path that
+// falls off its closing brace for leaked locks.
+func (w *heldWalker) walkBody(b *ast.BlockStmt) {
+	w.walkBlock(b)
+	if n := len(b.List); n > 0 {
+		if _, isReturn := b.List[n-1].(*ast.ReturnStmt); isReturn {
+			return
+		}
+	}
+	w.leaks(b.Rbrace)
 }
 
 func (w *heldWalker) fresh() *heldWalker {
 	c := *w
 	c.held = map[string]token.Pos{}
+	c.deferred = map[string]bool{}
 	return &c
 }
 
 func (w *heldWalker) clone() *heldWalker {
 	c := *w
-	c.held = make(map[string]token.Pos, len(w.held))
-	for k, v := range w.held {
-		c.held[k] = v
-	}
+	c.held = maps.Clone(w.held)
+	c.deferred = maps.Clone(w.deferred)
 	return &c
+}
+
+// leaks reports every held lock without a deferred unlock at pos.
+func (w *heldWalker) leaks(pos token.Pos) {
+	if w.hooks.leak == nil {
+		return
+	}
+	var leaked []string
+	for key := range w.held {
+		if !w.deferred[key] {
+			leaked = append(leaked, key)
+		}
+	}
+	sort.Strings(leaked)
+	for _, key := range leaked {
+		w.hooks.leak(key, pos)
+	}
+}
+
+// blocking reports a blocking operation at pos when a lock is held.
+func (w *heldWalker) blocking(pos token.Pos) {
+	if h, ok := w.blocks[pos]; ok && len(w.held) > 0 && w.hooks.block != nil {
+		w.hooks.block(h, w.held)
+	}
 }
 
 func (w *heldWalker) walkBlock(b *ast.BlockStmt) {
@@ -167,14 +220,18 @@ func (w *heldWalker) walkStmt(s ast.Stmt) {
 		}
 		w.scanExpr(s.X)
 	case *ast.DeferStmt:
-		if _, op, ok := mutexOp(s.Call); ok && strings.HasSuffix(op, "Unlock") {
-			return // deferred release: the lock stays held for this walk
+		if path, op, ok := mutexOp(s.Call); ok && strings.HasSuffix(op, "Unlock") {
+			// Deferred release: the lock stays held for this walk, but
+			// every return path from here on is sanctioned.
+			sel := s.Call.Fun.(*ast.SelectorExpr) // mutexOp guarantees the shape
+			w.deferred[heldKey(w.pkg, sel.X, path)] = true
+			return
 		}
 		for _, a := range s.Call.Args {
 			w.scanExpr(a)
 		}
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.fresh().walkBlock(fl.Body)
+			w.fresh().walkBody(fl.Body)
 		}
 	case *ast.AssignStmt:
 		for _, e := range s.Rhs {
@@ -187,7 +244,9 @@ func (w *heldWalker) walkStmt(s ast.Stmt) {
 		for _, e := range s.Results {
 			w.scanExpr(e)
 		}
+		w.leaks(s.Pos())
 	case *ast.SendStmt:
+		w.blocking(s.Pos())
 		w.scanExpr(s.Chan)
 		w.scanExpr(s.Value)
 	case *ast.IfStmt:
@@ -212,6 +271,7 @@ func (w *heldWalker) walkStmt(s ast.Stmt) {
 			body.walkStmt(s.Post)
 		}
 	case *ast.RangeStmt:
+		w.blocking(s.Pos())
 		w.scanExpr(s.X)
 		w.clone().walkBlock(s.Body)
 	case *ast.SwitchStmt:
@@ -228,6 +288,10 @@ func (w *heldWalker) walkStmt(s ast.Stmt) {
 		}
 		w.walkCases(s.Body)
 	case *ast.SelectStmt:
+		// The comm operations are the select's blocking point, not
+		// blocking sites of their own: the Program records only the
+		// select.
+		w.blocking(s.Pos())
 		for _, c := range s.Body.List {
 			cc, ok := c.(*ast.CommClause)
 			if !ok {
@@ -246,7 +310,7 @@ func (w *heldWalker) walkStmt(s ast.Stmt) {
 			w.scanExpr(a)
 		}
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.fresh().walkBlock(fl.Body)
+			w.fresh().walkBody(fl.Body)
 		}
 	default:
 		if s != nil {
@@ -282,8 +346,8 @@ func (w *heldWalker) applyMutexOp(call *ast.CallExpr, path, op string, pos token
 	key := heldKey(w.pkg, sel.X, path)
 	switch op {
 	case "Lock", "RLock":
-		if w.onAcquire != nil {
-			w.onAcquire(key, pos, w.held)
+		if w.hooks.acquire != nil {
+			w.hooks.acquire(key, pos, w.held)
 		}
 		w.held[key] = pos
 	case "Unlock", "RUnlock":
@@ -291,8 +355,8 @@ func (w *heldWalker) applyMutexOp(call *ast.CallExpr, path, op string, pos token
 	}
 }
 
-// scanExpr scans one expression for call edges made while locks are held.
-// Func literals are fresh scopes.
+// scanExpr scans one expression for blocking operations and call edges
+// made while locks are held. Func literals are fresh scopes.
 func (w *heldWalker) scanExpr(e ast.Expr) {
 	if e == nil {
 		return
@@ -300,13 +364,45 @@ func (w *heldWalker) scanExpr(e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.fresh().walkBlock(n.Body)
+			w.fresh().walkBody(n.Body)
 			return false
+		case *ast.UnaryExpr:
+			w.blocking(n.Pos())
 		case *ast.CallExpr:
-			if edge, ok := w.edges[n.Pos()]; ok && len(w.held) > 0 && w.onCall != nil {
-				w.onCall(edge, w.held)
+			w.blocking(n.Pos())
+			if edge, ok := w.edges[n.Pos()]; ok && len(w.held) > 0 && w.hooks.call != nil {
+				w.hooks.call(edge, w.held)
 			}
 		}
 		return true
 	})
+}
+
+// mutexOp decomposes a statement-level call into (lock path, method) when
+// it is an argument-less X.Lock/RLock/Unlock/RUnlock call.
+func mutexOp(e ast.Expr) (path, op string, ok bool) {
+	call, isCall := e.(*ast.CallExpr)
+	if !isCall || len(call.Args) != 0 {
+		return "", "", false
+	}
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock", "Unlock", "RUnlock":
+		if p := exprPath(sel.X); p != "" {
+			return p, sel.Sel.Name, true
+		}
+	}
+	return "", "", false
+}
+
+func selectHasDefault(s *ast.SelectStmt) bool {
+	for _, c := range s.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
 }

@@ -29,6 +29,12 @@ import (
 // directive. The harness fails if an analyzer has no fixture directory or
 // no fixture files — detection regressions and missing coverage both fail
 // `go test`.
+//
+// The corpus is also the suite's catch matrix: every fixture runs through
+// every other analyzer that applies at its package path, and a want line
+// that a second analyzer also reports fails. Each pinned catch has exactly
+// one owner, so a rule duplicated across analyzers shows up here, not as a
+// doubled finding on the tree.
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, a := range Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
@@ -85,24 +91,7 @@ func runFixture(t *testing.T, a *Analyzer, path string) {
 		importPath = strings.TrimSpace(strings.TrimPrefix(lines[0], fixtureDirective))
 	}
 
-	wants := map[int][]*wantExpectation{}
-	for i, line := range lines {
-		idx := strings.Index(line, "// want ")
-		if idx < 0 {
-			continue
-		}
-		args := wantArgRe.FindAllStringSubmatch(line[idx+len("// want "):], -1)
-		if len(args) == 0 {
-			t.Fatalf("%s:%d: malformed want comment (need quoted regexps)", path, i+1)
-		}
-		for _, m := range args {
-			re, err := regexp.Compile(m[1])
-			if err != nil {
-				t.Fatalf("%s:%d: bad want pattern %q: %v", path, i+1, m[1], err)
-			}
-			wants[i+1] = append(wants[i+1], &wantExpectation{re: re})
-		}
-	}
+	wants := parseWants(t, path, lines)
 
 	pkg, err := CheckSource(importPath, map[string]string{filepath.Base(path): src})
 	if err != nil {
@@ -133,6 +122,7 @@ func runFixture(t *testing.T, a *Analyzer, path string) {
 	for _, m := range missed {
 		t.Error(m)
 	}
+	checkSoleOwner(t, a, []*Package{pkg}, func(_ string, line int) bool { return len(wants[line]) > 0 })
 }
 
 // runMultiFixture runs one directory-based multi-package fixture: every
@@ -174,25 +164,7 @@ func runMultiFixture(t *testing.T, a *Analyzer, dir string) {
 			t.Fatalf("%s: duplicate filename in package %s", path, importPath)
 		}
 		sources[importPath][e.Name()] = src
-		fileWants := map[int][]*wantExpectation{}
-		for i, line := range lines {
-			idx := strings.Index(line, "// want ")
-			if idx < 0 {
-				continue
-			}
-			args := wantArgRe.FindAllStringSubmatch(line[idx+len("// want "):], -1)
-			if len(args) == 0 {
-				t.Fatalf("%s:%d: malformed want comment (need quoted regexps)", path, i+1)
-			}
-			for _, m := range args {
-				re, err := regexp.Compile(m[1])
-				if err != nil {
-					t.Fatalf("%s:%d: bad want pattern %q: %v", path, i+1, m[1], err)
-				}
-				fileWants[i+1] = append(fileWants[i+1], &wantExpectation{re: re})
-			}
-		}
-		wants[e.Name()] = fileWants
+		wants[e.Name()] = parseWants(t, path, lines)
 	}
 	if nfiles == 0 {
 		t.Fatalf("multi-package fixture %s has no .go files", dir)
@@ -228,6 +200,51 @@ func runMultiFixture(t *testing.T, a *Analyzer, dir string) {
 	sort.Strings(missed)
 	for _, m := range missed {
 		t.Error(m)
+	}
+	checkSoleOwner(t, a, pkgs, func(file string, line int) bool { return len(wants[file][line]) > 0 })
+}
+
+// parseWants collects the want comments of one fixture file by line.
+func parseWants(t *testing.T, path string, lines []string) map[int][]*wantExpectation {
+	t.Helper()
+	wants := map[int][]*wantExpectation{}
+	for i, line := range lines {
+		idx := strings.Index(line, "// want ")
+		if idx < 0 {
+			continue
+		}
+		args := wantArgRe.FindAllStringSubmatch(line[idx+len("// want "):], -1)
+		if len(args) == 0 {
+			t.Fatalf("%s:%d: malformed want comment (need quoted regexps)", path, i+1)
+		}
+		for _, m := range args {
+			re, err := regexp.Compile(m[1])
+			if err != nil {
+				t.Fatalf("%s:%d: bad want pattern %q: %v", path, i+1, m[1], err)
+			}
+			wants[i+1] = append(wants[i+1], &wantExpectation{re: re})
+		}
+	}
+	return wants
+}
+
+// checkSoleOwner runs every analyzer but a over a fixture's packages (each
+// applies only where its package scope says) and fails on any finding that
+// lands on a want line: that catch is pinned to a, so a second reporter is
+// a duplicated rule.
+func checkSoleOwner(t *testing.T, a *Analyzer, pkgs []*Package, wanted func(file string, line int) bool) {
+	t.Helper()
+	var others []*Analyzer
+	for _, b := range Analyzers() {
+		if b.Name != a.Name {
+			others = append(others, b)
+		}
+	}
+	for _, d := range RunWithContext(pkgs, nil, others) {
+		if d.Analyzer != "ignore" && wanted(filepath.Base(d.Pos.Filename), d.Pos.Line) {
+			t.Errorf("%s:%d: want line of %s is also reported by %s: %s",
+				filepath.Base(d.Pos.Filename), d.Pos.Line, a.Name, d.Analyzer, d.Message)
+		}
 	}
 }
 

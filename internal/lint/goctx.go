@@ -5,9 +5,9 @@ import (
 	"regexp"
 )
 
-// GoCtx returns the goroutine-shutdown analyzer for the serving packages.
-// Every goroutine the runtime or serving layer spawns must be able to
-// exit when its session closes: a session is created per HTTP request, so
+// GoCtx returns the goroutine-shutdown analyzer for the concurrency
+// packages. Every goroutine the runtime, serving layer or engines spawn
+// must be able to exit when its session closes: a session is created per HTTP request, so
 // a goroutine that blocks forever is a per-request leak — the serving
 // process accretes parked goroutines until it dies, long after every test
 // has passed.
@@ -29,8 +29,8 @@ import (
 func GoCtx() *Analyzer {
 	return &Analyzer{
 		Name:     "goctx",
-		Doc:      "require a shutdown arm in every goroutine loop spawned by the serving stack",
-		Packages: ServingPackages,
+		Doc:      "require a shutdown arm in every goroutine loop spawned by the concurrency packages",
+		Packages: ConcurrencyPackages,
 		Run:      runGoCtx,
 	}
 }

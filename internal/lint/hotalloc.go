@@ -60,9 +60,9 @@ var hotFuncNames = map[string]bool{
 //     local := and range-value aliases are resolved on both sides, so
 //     `out := s.outbox[w]` inherits a reset written as `row[w] = msgs[:0]`
 //     inside `for _, row := range s.outbox`.
-//  6. go statements — every launch allocates a goroutine (and its func
-//     literal's closure); parallel engines start a persistent worker pool
-//     at construction and signal it per tick.
+//
+// A go statement in a hot function is ticksafe's finding, not hotalloc's;
+// the spawned body is still hot code and is checked here.
 //
 // The hot set is the named functions above plus any function carrying the
 // //perf:hot directive (shared with the perfproof compiler gate), so the
@@ -225,9 +225,8 @@ func checkHotBody(pkg *Package, f *ast.File, body ast.Node, inLoop bool, aliases
 			checkHotBody(pkg, f, n.Body, true, aliases, resets, report)
 			return false
 		case *ast.GoStmt:
-			report(n.Pos(), "goroutine launch on the per-tick path allocates every tick; start a persistent worker pool at construction")
-			// The spawned body is still hot code; its literal is already
-			// reported with the launch.
+			// The launch, closure included, is ticksafe's finding; the
+			// spawned body is still hot code.
 			if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				for _, arg := range n.Call.Args {
 					checkHotParts(pkg, f, inLoop, aliases, resets, report, arg)

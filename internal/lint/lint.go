@@ -1,5 +1,5 @@
 // Package lint implements tnlint, the repo-specific static-analyzer suite
-// that machine-checks two families of invariants:
+// that machine-checks these families of invariants:
 //
 // Determinism (behind the paper's one-to-one equivalence claim: the silicon
 // model in internal/chip and the parallel Compass engine in internal/compass
@@ -14,8 +14,9 @@
 //     literal zero are allowed as divide-by-zero guards).
 //   - ticksafe: goroutines only inside internal/compass, only as pool
 //     workers (an inline func literal whose body is one `for … range ch`
-//     loop calling Done() once per iteration), and those workers may write
-//     captured state only through per-worker indexed slots.
+//     loop calling Done() once per iteration) started outside the per-tick
+//     hot functions, and those workers may write captured state only
+//     through per-worker indexed slots.
 //
 // Real-time serving safety (behind the paper's f_max ≈ 1 kHz operating
 // claim: the per-tick hot path must stay allocation-free and the session
@@ -25,34 +26,36 @@
 //     fmt calls, make, slice/map or heap-escaping composite literals,
 //     closures built inside per-tick loops, appends to buffers that are
 //     never reslice-reused.
-//   - locksafe: no mutex held across a channel operation, time.Sleep, or
-//     blocking session call; no return path that leaks a lock; no sync
-//     primitives copied by value.
-//   - goctx:    every goroutine spawned by the runtime/serving layer has a
+//   - goctx:    every goroutine spawned by the concurrency packages has a
 //     shutdown arm (ctx.Done/close signal/closing flag), so sessions cannot
 //     leak goroutines when they close.
-//   - chanown:  channels are closed only by their owner, never sent to
-//     after close, and paced-loop code never does a bare blocking send on
-//     an unbuffered channel.
 //
-// Whole-program concurrency (behind the same serving claims, but checked
-// over the module-wide call graph rather than one function at a time):
+// Whole-program concurrency (behind the same serving claims, checked over
+// the module-wide call graph for the four concurrency packages; lockorder
+// and chanflow share one held-lock walk and the Program's one blocking
+// classifier):
 //
-//   - lockorder: per-function lock-acquisition summaries propagate through
-//     the call graph into a global lock-order graph over the named mutexes
-//     of the concurrency packages; a cycle is a potential deadlock and is
-//     reported with its witness chain. The acyclic hierarchy is checked in
-//     as testdata/lockorder/hierarchy.golden and reviewed like a perfproof
-//     budget.
-//   - chanflow:  channel facts follow the call graph — no call chain that
-//     blocks (send, receive, select without default, time.Sleep, Wait)
-//     while a mutex is held, no send on a field channel some reachable
-//     function may close, no field channel closed from two sites.
+//   - lockorder: lock discipline — per-function lock-acquisition summaries
+//     propagate through the call graph into a global lock-order graph over
+//     the named mutexes; a cycle (or a double Lock) is a potential deadlock
+//     and is reported with its witness chain, and so is a return path that
+//     leaves a lock held with no deferred unlock. The acyclic hierarchy is
+//     checked in as testdata/lockorder/hierarchy.golden and reviewed like a
+//     perfproof budget.
+//   - chanflow:  channel and blocking discipline — nothing blocks (send,
+//     receive, select without default, time.Sleep, Wait) while a mutex is
+//     held, directly or through any callee; a channel is closed once, by
+//     its owner (never a parameter or a receive-only channel); no send
+//     after a close, in the same function or from another; no bare send on
+//     a known-unbuffered channel.
 //   - wgsafe:    the WaitGroup protocol — Add happens-before the spawning
 //     go statement, no Add from inside a waited goroutine, no Wait-reuse
 //     overlap between a waiting goroutine and later Adds.
 //   - atomicmix: a variable accessed via sync/atomic anywhere must be
 //     accessed atomically everywhere; both witness sites are cited.
+//
+// By-value copies of sync primitives are go vet's copylocks check, which
+// check.sh runs over the whole module.
 //
 // Static API contract (behind the v1 serving surface: every route, wire
 // shape, and reachable error code is extracted from the source and pinned
@@ -76,8 +79,9 @@
 //
 // The reason is mandatory; a directive without one is itself a finding.
 // Every analyzer's detection behavior is pinned by want-comment fixtures
-// under testdata/<analyzer>/ (see fixture_test.go). Everything here is
-// stdlib only: go/ast, go/parser, go/types.
+// under testdata/<analyzer>/ (see fixture_test.go), and each pinned catch
+// has exactly one owning analyzer. Everything here is stdlib only:
+// go/ast, go/parser, go/types.
 package lint
 
 import (
@@ -176,13 +180,13 @@ func (a *Analyzer) applies(path string) bool {
 }
 
 // Analyzers returns the full tnlint suite: the four determinism analyzers,
-// the four concurrency/hot-path analyzers guarding the serving stack, the
-// four whole-program concurrency analyzers, and the three API-contract
-// analyzers behind `make api-gate`.
+// the two hot-path/goroutine-lifecycle analyzers, the four whole-program
+// concurrency analyzers, and the three API-contract analyzers behind
+// `make api-gate`.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Detrand(), MapOrder(), FloatCmp(), TickSafe(),
-		HotAlloc(), LockSafe(), GoCtx(), ChanOwn(),
+		HotAlloc(), GoCtx(),
 		LockOrder(), ChanFlow(), WgSafe(), AtomicMix(),
 		APIEnvelope(), WireTag(), BoundConv(),
 	}
@@ -403,10 +407,9 @@ func importedName(f *ast.File, path string) string {
 
 // terminalName returns the identifier a storage expression ultimately names:
 // the field for a selector chain (s.outbox[w] → "outbox"), the variable for
-// a plain or indexed identifier (out[dw] → "out"). It is the unit the
-// hotalloc and chanown analyzers use to correlate buffer resets, channel
-// makes, and closes with their uses; "" when the expression has no stable
-// terminal (e.g. a call result).
+// a plain or indexed identifier (out[dw] → "out"). It is the unit hotalloc
+// uses to correlate buffer resets with appends; "" when the expression has
+// no stable terminal (e.g. a call result).
 func terminalName(e ast.Expr) string {
 	for {
 		switch x := e.(type) {

@@ -43,7 +43,7 @@ const kernelPath = Module + "/internal/chip"
 func TestAnalyzersSuite(t *testing.T) {
 	want := []string{
 		"detrand", "maporder", "floatcmp", "ticksafe",
-		"hotalloc", "locksafe", "goctx", "chanown",
+		"hotalloc", "goctx",
 		"lockorder", "chanflow", "wgsafe", "atomicmix",
 		"apienvelope", "wiretag", "boundconv",
 	}

@@ -9,30 +9,38 @@ import (
 	"strings"
 )
 
-// LockOrder returns the whole-program lock-ordering analyzer for the
-// concurrency packages. Per-function lock-acquisition summaries propagate
-// through the call graph: holding lock A (directly or via a deferred
-// unlock) while acquiring lock B — in the same body or anywhere down the
-// call chain — adds the edge A → B to a global lock-order graph over the
-// program's named mutexes (struct-field locks like serve.Server.mu,
-// package-level locks like sim.registryMu). Any cycle in that graph is a
-// potential deadlock: two goroutines entering the cycle from different
-// points block each other forever, and no test is guaranteed to catch it
-// because the interleaving is timing-dependent. Each edge on a cycle is a
-// finding, reported at its witness (the acquisition, or the call that
-// leads to it) with the full call chain.
+// LockOrder returns the lock-discipline analyzer for the concurrency
+// packages. Two rules, both fed by the one held-lock walk (heldWalker):
+//
+//  1. No lock-order cycle. Per-function lock-acquisition summaries
+//     propagate through the call graph: holding lock A (directly or via a
+//     deferred unlock) while acquiring lock B — in the same body or
+//     anywhere down the call chain — adds the edge A → B to a global
+//     lock-order graph over the program's named mutexes (struct-field
+//     locks like serve.Server.mu, package-level locks like
+//     sim.registryMu). Any cycle in that graph is a potential deadlock:
+//     two goroutines entering the cycle from different points block each
+//     other forever, and no test is guaranteed to catch it because the
+//     interleaving is timing-dependent. A self-edge — Lock twice without
+//     an intervening unlock, in one body or through a callee — deadlocks
+//     a single goroutine outright (sync mutexes are not reentrant). Each
+//     edge on a cycle is a finding, reported at its witness (the
+//     acquisition, or the call that leads to it) with the full call chain.
+//  2. No leaked lock: a return path — or the closing brace of a body that
+//     falls off its end — with a lock still held and no deferred unlock
+//     deadlocks the next goroutine that takes the lock.
 //
 // The acyclic graph itself is reviewable output: the golden test in
 // lockorder_golden_test.go pins it under testdata/lockorder/, so a new
 // edge in the lock hierarchy shows up in review like a perfproof budget
 // change. Go-spawned code contributes no edges to its spawner (a goroutine
 // holds its own locks); locks the analyzer cannot name (locals, unresolved
-// receivers) never become graph nodes.
+// receivers) never become graph nodes, but their leaks are still reported.
 func LockOrder() *Analyzer {
 	graphs := map[*Program]*LockGraph{}
 	return &Analyzer{
 		Name:     "lockorder",
-		Doc:      "propagate lock-acquisition order through the call graph and forbid cycles (potential deadlocks)",
+		Doc:      "forbid lock-order cycles over the call graph (potential deadlocks, double Lock) and return paths that leak a held lock",
 		Packages: ConcurrencyPackages,
 		Run: func(pkg *Package, report ReportFunc) {
 			prog := pkg.Prog
@@ -48,8 +56,17 @@ func LockOrder() *Analyzer {
 				if e.Fn.Pkg != pkg {
 					continue
 				}
+				if e.From == e.To && len(e.Chain) == 0 {
+					report(e.Pos(), "mutex %s locked again without an intervening unlock (self-deadlock: sync mutexes are not reentrant)", e.To)
+					continue
+				}
 				report(e.Pos(), "acquiring %s while %s is held completes a lock-order cycle (%s); a concurrent acquisition in cycle order deadlocks — witness: %s",
 					e.To, e.From, g.cycleString(e), e.witness(pkg.Fset))
+			}
+			for _, l := range g.leaks {
+				if l.fn.Pkg == pkg {
+					report(l.pos, "return with mutex %s still locked on this path; unlock it first or defer the unlock", lockDisplay(l.key))
+				}
 			}
 		},
 	}
@@ -109,7 +126,15 @@ type LockGraph struct {
 	Locks []string
 	Edges []*LockEdge
 
-	scc map[string]int // lock → strongly-connected-component id
+	scc   map[string]int // lock → strongly-connected-component id
+	leaks []lockLeak
+}
+
+// lockLeak is one return path of fn that leaves the lock key held.
+type lockLeak struct {
+	fn  *FuncNode
+	key string
+	pos token.Pos
 }
 
 // lockAcq is one entry of a function's transitive acquisition summary.
@@ -124,6 +149,7 @@ type lockGraphBuilder struct {
 	memo  map[*FuncNode]map[string]lockAcq
 	locks map[string]bool
 	edges map[[2]string]*LockEdge
+	leaks []lockLeak
 }
 
 // NewLockGraph builds the lock-order graph over every program package
@@ -143,7 +169,7 @@ func NewLockGraph(prog *Program, targets []string) *LockGraph {
 		}
 		prog.Funcs(pkg, func(n *FuncNode) { b.walk(pkg, n) })
 	}
-	g := &LockGraph{}
+	g := &LockGraph{leaks: b.leaks}
 	for l := range b.locks {
 		g.Locks = append(g.Locks, l)
 	}
@@ -162,10 +188,10 @@ func NewLockGraph(prog *Program, targets []string) *LockGraph {
 	return g
 }
 
-// walk generates the edges arising in one function body.
+// walk generates the edges and leaks arising in one function body.
 func (b *lockGraphBuilder) walk(pkg *Package, n *FuncNode) {
-	walkHeld(pkg, n,
-		func(key string, pos token.Pos, held map[string]token.Pos) {
+	walkHeld(pkg, n, heldHooks{
+		acquire: func(key string, pos token.Pos, held map[string]token.Pos) {
 			if strings.HasPrefix(key, localLockPrefix) {
 				return
 			}
@@ -176,7 +202,7 @@ func (b *lockGraphBuilder) walk(pkg *Package, n *FuncNode) {
 				}
 			}
 		},
-		func(e CallEdge, held map[string]token.Pos) {
+		call: func(e CallEdge, held map[string]token.Pos) {
 			callee := b.prog.FuncAt(e.Callee)
 			if callee == nil {
 				return
@@ -189,7 +215,11 @@ func (b *lockGraphBuilder) walk(pkg *Package, n *FuncNode) {
 					}
 				}
 			}
-		})
+		},
+		leak: func(key string, pos token.Pos) {
+			b.leaks = append(b.leaks, lockLeak{fn: n, key: key, pos: pos})
+		},
+	})
 }
 
 // addEdge records an edge, keeping the earliest witness for determinism.

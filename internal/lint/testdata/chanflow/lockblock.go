@@ -10,8 +10,8 @@ type pipeSrv struct {
 	ch chan int
 }
 
-// emit holds mu across a helper whose body sends: locksafe cannot see it
-// (the send is in another function), chanflow's taint walk can.
+// emit holds mu across a helper whose body sends: the send is in another
+// function, so the finding sits on the call, with the witness chain.
 func (s *pipeSrv) emit() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

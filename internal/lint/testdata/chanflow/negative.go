@@ -7,14 +7,14 @@ type okFeed struct {
 	out chan int
 }
 
-// run sends and closes in one body: the lexical send-before-close order is
-// chanown's domain, and a single close site is the ownership ideal.
+// run sends and closes in one body: the send is ordered before the close,
+// and a single close site is the ownership ideal.
 func (f *okFeed) run() {
 	f.out <- 1
 	close(f.out)
 }
 
-// local channels stay chanown's lexical business.
+// A local channel sent to before its one close: no finding.
 func localChan() {
 	ch := make(chan int, 1)
 	ch <- 1

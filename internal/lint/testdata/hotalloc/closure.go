@@ -11,10 +11,9 @@ func StepDense(cores []int, visit func(func(int))) {
 	for i := range cores {
 		visit(func(v int) { cur = i + v }) // want `closure every iteration`
 	}
-	// A goroutine launch allocates every tick, in a loop or not, and its
-	// body is still hot code.
+	// The launch itself is ticksafe's finding; its body is still hot code.
 	for range cores {
-		go func() { // want `goroutine launch on the per-tick path`
+		go func() {
 			_ = make([]int, 8) // want `make on the per-tick path`
 		}()
 	}

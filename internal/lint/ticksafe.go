@@ -11,14 +11,18 @@ import (
 // semi-synchronous worker pattern: a pool of persistent workers, started at
 // construction, each running one phase per message on its start channel and
 // signalling a reused sync.WaitGroup, with two barriers per tick. ticksafe
-// enforces three rules:
+// enforces three rules, and is the suite's one owner of `go` statements on
+// the tick path:
 //
 //  1. No goroutine launches in kernel packages outside internal/compass.
 //  2. In internal/compass, every `go` statement is a pool worker: an inline
 //     func literal whose body is one `for … range ch` loop over a channel
 //     that calls Done() once per iteration. Closing ch is its shutdown arm.
 //     A per-tick fork-join (`go func() { defer wg.Done(); … }()`) is not
-//     the pattern: it pays a goroutine every phase.
+//     the pattern: it pays a goroutine every phase. A pool worker is
+//     started once, at construction: launching even a well-shaped worker
+//     inside a per-tick hot function (hotalloc's hot set — the named
+//     kernel functions and //perf:hot) spawns a goroutine every tick.
 //  3. A pool worker may assign to captured (outer-scope) variables only
 //     through an indexed slot (e.g. perWorker[w] = ...), the share-nothing
 //     discipline that makes the compute phase race-free.
@@ -41,27 +45,37 @@ func TickSafe() *Analyzer {
 func runTickSafe(pkg *Package, report ReportFunc) {
 	inCompass := pkg.Path == Module+"/internal/compass"
 	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
+		for _, decl := range f.Decls {
+			hot := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok && (hotFuncNames[fd.Name.Name] || hasPerfHot(fd.Doc)) {
+				hot = fd.Name.Name
 			}
-			if !inCompass {
-				report(g.Pos(), "goroutine launch in kernel package %s; parallelism is sanctioned only in the Compass engine", pkg.Path)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				g, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
+				}
+				if !inCompass {
+					report(g.Pos(), "goroutine launch in kernel package %s; parallelism is sanctioned only in the Compass engine", pkg.Path)
+					return true
+				}
+				fl, ok := g.Call.Fun.(*ast.FuncLit)
+				if !ok {
+					report(g.Pos(), "goroutine must be an inline pool-worker func literal")
+					return true
+				}
+				if msg := poolWorkerShape(pkg, fl); msg != "" {
+					report(g.Pos(), "%s", msg)
+					return true
+				}
+				if hot != "" {
+					report(g.Pos(), "pool worker launched inside per-tick hot function %s spawns a goroutine every tick; start the pool once, at construction", hot)
+					return true
+				}
+				checkWorkerWrites(fl, report)
 				return true
-			}
-			fl, ok := g.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				report(g.Pos(), "goroutine must be an inline pool-worker func literal")
-				return true
-			}
-			if msg := poolWorkerShape(pkg, fl); msg != "" {
-				report(g.Pos(), "%s", msg)
-				return true
-			}
-			checkWorkerWrites(fl, report)
-			return true
-		})
+			})
+		}
 	}
 	if pkg.Prog == nil || inCompass || !explicitKernelPackage(pkg.Path) {
 		return

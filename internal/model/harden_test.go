@@ -3,11 +3,14 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"truenorth/internal/chip"
+	"truenorth/internal/core"
 	"truenorth/internal/netgen"
 	"truenorth/internal/router"
+	"truenorth/internal/sim"
 )
 
 // smallModelBytes serializes a one-populated-core model, small enough to
@@ -114,8 +117,10 @@ func TestReadModelCorruptBody(t *testing.T) {
 	}
 }
 
-// TestReadCheckpointTruncatedEverywhere is the checkpoint-side analogue.
-func TestReadCheckpointTruncatedEverywhere(t *testing.T) {
+// ckptEngine builds the 2×2 engine the checkpoint hardening tests share,
+// run to tick 20 so its state is far from the initial one.
+func ckptEngine(t *testing.T) *chip.Model {
+	t.Helper()
 	mesh := router.Mesh{W: 2, H: 2}
 	configs, err := netgen.Build(netgen.Params{Grid: mesh, RateHz: 50, SynPerNeuron: 40, Seed: 3})
 	if err != nil {
@@ -126,21 +131,81 @@ func TestReadCheckpointTruncatedEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run(20)
+	return eng
+}
+
+// snapshot renders everything a checkpoint restores — Tick(), NoC() and
+// every populated core's SaveState — as the checkpoint's own bytes.
+func snapshot(t *testing.T, eng CheckpointableEngine) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, eng); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for cut := 0; cut < len(full); cut++ {
-		if err := ReadCheckpoint(bytes.NewReader(full[:cut]), eng); err == nil {
-			t.Fatalf("truncation at byte %d of %d accepted", cut, len(full))
-		}
+	return buf.Bytes()
+}
+
+// rejectUntouched asserts ReadCheckpoint refuses input and leaves eng
+// bit-identical to before the attempt.
+func rejectUntouched(t *testing.T, eng CheckpointableEngine, input []byte, what string) {
+	t.Helper()
+	before := snapshot(t, eng)
+	if err := ReadCheckpoint(bytes.NewReader(input), eng); err == nil {
+		t.Fatalf("%s accepted", what)
 	}
-	// The truncation sweep leaves the engine with partially restored state;
-	// a full restore must still succeed afterwards.
+	if !bytes.Equal(snapshot(t, eng), before) {
+		t.Fatalf("%s was rejected but changed the engine (tick, NoC or core state)", what)
+	}
+}
+
+// TestReadCheckpointTruncatedEverywhere is the checkpoint-side analogue:
+// every proper prefix of a valid checkpoint is rejected, and a rejected
+// restore leaves the engine exactly as it was — no half-restored cores, no
+// stale clock.
+func TestReadCheckpointTruncatedEverywhere(t *testing.T) {
+	eng := ckptEngine(t)
+	full := snapshot(t, eng)
+	eng.Run(10) // the engine now differs from the checkpoint in every part
+	for cut := 0; cut < len(full); cut++ {
+		rejectUntouched(t, eng, full[:cut], fmt.Sprintf("truncation at byte %d of %d", cut, len(full)))
+	}
 	if err := ReadCheckpoint(bytes.NewReader(full), eng); err != nil {
 		t.Fatalf("full checkpoint rejected after sweep: %v", err)
 	}
+	if !bytes.Equal(snapshot(t, eng), full) {
+		t.Fatal("full restore does not reproduce the checkpoint")
+	}
+}
+
+// TestReadCheckpointRejectsBadCoreSets rejects checkpoints whose core
+// states do not match the engine one to one, before touching it.
+func TestReadCheckpointRejectsBadCoreSets(t *testing.T) {
+	eng := ckptEngine(t)
+	full := snapshot(t, eng)
+	eng.Run(10)
+	// Layout: magic (7), tick (8), NoC stats, count (4), then per core an
+	// index (4) and a state.
+	nocLen := binary.Size(sim.NoCStats{})
+	countOff := 7 + 8 + nocLen
+	body := countOff + 4
+	entry := 4 + binary.Size(core.State{})
+	if got := body + 4*entry; got != len(full) {
+		t.Fatalf("checkpoint is %d bytes, layout predicts %d", len(full), got)
+	}
+	setU32 := func(b []byte, off int, v uint32) []byte {
+		c := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(c[off:], v)
+		return c
+	}
+	// Core 1's entry again in place of core 2's: a duplicate index with
+	// the count and length intact.
+	dup := append([]byte(nil), full...)
+	copy(dup[body+2*entry:body+3*entry], full[body+entry:body+2*entry])
+	rejectUntouched(t, eng, dup, "duplicate core index")
+	// Three of four states, declared as three: a short count.
+	rejectUntouched(t, eng, setU32(full[:body+3*entry], countOff, 3), "short core count")
+	// Five declared, four carried: more than the engine has.
+	rejectUntouched(t, eng, setU32(full, countOff, 5), "count over the engine's cores")
 }
 
 // TestReadCheckpointHostileCounts verifies a hostile populated-core count

@@ -388,7 +388,10 @@ func WriteCheckpoint(w io.Writer, eng CheckpointableEngine) error {
 // ReadCheckpoint resumes eng (already constructed with the same model)
 // from a snapshot. The engine's clock, NoC statistics, and per-core states
 // are restored; subsequent Steps continue bit-exactly — on either engine
-// expression.
+// expression. The whole snapshot is decoded and validated before anything
+// is applied: it must carry exactly one state per populated core of eng,
+// so a truncated or malformed snapshot returns an error and leaves eng
+// untouched.
 func ReadCheckpoint(r io.Reader, eng CheckpointableEngine) error {
 	br := bufio.NewReader(r)
 	var magic [7]byte
@@ -411,24 +414,38 @@ func ReadCheckpoint(r io.Reader, eng CheckpointableEngine) error {
 		return err
 	}
 	cores := eng.Cores()
-	seen := uint32(0)
-	for k := uint32(0); k < populated; k++ {
-		var idx uint32
-		if err := binary.Read(br, binary.LittleEndian, &idx); err != nil {
-			return err
+	want := 0
+	for _, c := range cores {
+		if c != nil {
+			want++
 		}
-		if int(idx) >= len(cores) || cores[idx] == nil {
-			return fmt.Errorf("checkpoint: state for absent core %d", idx)
-		}
-		var st core.State
-		if err := binary.Read(br, binary.LittleEndian, &st); err != nil {
-			return err
-		}
-		cores[idx].RestoreState(st)
-		seen++
 	}
-	if seen != populated {
-		return fmt.Errorf("checkpoint: restored %d of %d cores", seen, populated)
+	// Checked before allocating: the count is bounded by the engine, not
+	// by the stream.
+	if int64(populated) != int64(want) {
+		return fmt.Errorf("checkpoint: %d core states for an engine with %d populated cores", populated, want)
+	}
+	idx := make([]uint32, populated)
+	states := make([]core.State, populated)
+	seen := make([]bool, len(cores))
+	for k := range states {
+		if err := binary.Read(br, binary.LittleEndian, &idx[k]); err != nil {
+			return err
+		}
+		i := idx[k]
+		if int64(i) >= int64(len(cores)) || cores[i] == nil {
+			return fmt.Errorf("checkpoint: state for absent core %d", i)
+		}
+		if seen[i] {
+			return fmt.Errorf("checkpoint: duplicate state for core %d", i)
+		}
+		seen[i] = true
+		if err := binary.Read(br, binary.LittleEndian, &states[k]); err != nil {
+			return err
+		}
+	}
+	for k, st := range states {
+		cores[idx[k]].RestoreState(st)
 	}
 	eng.SetNoC(noc)
 	eng.SetClock(tick)

@@ -233,6 +233,59 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestFailedRestoreLeavesSessionUntouched: a restore whose body is cut
+// short is refused, and the session carries on exactly as an identical
+// twin that never saw the request — no half-restored core, no stale clock.
+func TestFailedRestoreLeavesSessionUntouched(t *testing.T) {
+	leakcheck.Check(t)
+	ts := newTestServer(t, serve.Config{})
+	var bases [2]string
+	for i := range bases {
+		var info serve.SessionInfo
+		if st := call(t, "POST", ts.URL+"/v1/sessions",
+			serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(4)}, &info); st != http.StatusCreated {
+			t.Fatalf("create = %d", st)
+		}
+		bases[i] = ts.URL + "/v1/sessions/" + info.ID
+	}
+	runBoth := func(ticks int) {
+		for _, base := range bases {
+			if st := call(t, "POST", base+"/run", serve.RunRequest{Ticks: ticks, Wait: true}, nil); st != http.StatusOK {
+				t.Fatalf("run = %d", st)
+			}
+		}
+	}
+	runBoth(60)
+	ckpt := fetchAER(t, bases[0]+"/checkpoint")
+	runBoth(30) // both sessions move on from the checkpoint
+	cut := strings.NewReader(ckpt[:len(ckpt)-100])
+	resp, err := http.Post(bases[0]+"/restore", "application/octet-stream", cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("truncated restore = %d, want a 4xx refusal", resp.StatusCode)
+	}
+	runBoth(60)
+	var stats [2]serve.SessionInfo
+	for i, base := range bases {
+		if st := call(t, "GET", base, nil, &stats[i]); st != http.StatusOK {
+			t.Fatalf("stats = %d", st)
+		}
+	}
+	if stats[0].Tick != 150 || stats[1].Tick != 150 {
+		t.Fatalf("ticks after the failed restore = %d and %d, want 150", stats[0].Tick, stats[1].Tick)
+	}
+	got, want := fetchAER(t, bases[0]+"/outputs?format=aer"), fetchAER(t, bases[1]+"/outputs?format=aer")
+	if want == "" {
+		t.Fatal("the twin produced no spikes; the assay is vacuous")
+	}
+	if got != want {
+		t.Fatalf("outputs after a failed restore diverged from the untouched twin (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
 // TestDeleteStopsCompassPool: deleting a session closes its engine, so a
 // two-worker compass session leaves no pool worker behind.
 func TestDeleteStopsCompassPool(t *testing.T) {

@@ -2,22 +2,23 @@
 # check.sh — the repo's full verification gate, run by CI and `make check`:
 #
 #   1. go build      — everything compiles
-#   2. go vet        — stdlib static analysis
+#   2. go vet        — stdlib static analysis; its copylocks check is
+#                      the repo's one owner of sync primitives copied by
+#                      value
 #   3. tnlint        — the in-repo analyzer suite (see internal/lint):
 #                      determinism invariants (detrand/maporder/floatcmp/
-#                      ticksafe) plus hot-path allocation, lock-safety,
-#                      goroutine-lifecycle, and channel-ownership checks,
-#                      the whole-program concurrency gate (lockorder/
-#                      chanflow/wgsafe/atomicmix) over the module call
-#                      graph, and the static API-contract gate
+#                      ticksafe) plus hot-path allocation and
+#                      goroutine-lifecycle checks (hotalloc/goctx), the
+#                      whole-program concurrency gate (lockorder/
+#                      chanflow/wgsafe/atomicmix: lock order and leaks,
+#                      blocking under locks, channel ownership) over the
+#                      module call graph, and the static API-contract gate
 #                      (apienvelope/wiretag/boundconv + the apisurface
 #                      golden, DESIGN.md §14) over the serving surface;
 #                      run with -json so CI logs are machine-readable. Set
 #                      CHECK_REPORT_DIR to also keep the JSON — and the
 #                      rendered lock-order hierarchy and extracted v1 API
-#                      surface — as files. (go vet's copylocks overlaps
-#                      locksafe's by-value checks; both run, vet as
-#                      backstop.)
+#                      surface — as files.
 #   4. tnproof       — compiler-proof perf gate (see internal/perfproof):
 #                      replays `go build -m -m -d=ssa/check_bce` over the
 #                      kernel packages and diffs escape/bounds-check
