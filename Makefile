@@ -1,7 +1,8 @@
 # Verification entry points; scripts/check.sh is the single source of truth
 # for what "green" means (build + vet + tnlint + proof + verify-models +
-# tests + race + allocs-gate + serve-smoke + the benchmark module's vet and
-# smoke test). The benchmark itself is `bash benchmark/run.sh`.
+# tests + race + allocs-gate + serve-smoke + tnexp + the benchmark module's
+# vet and smoke test). The benchmark itself is `bash benchmark/run.sh`; the
+# paper's tables are `go run ./cmd/tnexp <table>...`.
 
 .PHONY: check build test lint api-gate api-gate-update proof proof-update verify-models race race-stress allocs-gate serve-smoke
 

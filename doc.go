@@ -10,6 +10,5 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-versus-measured
-// results. The root bench suite (bench_test.go) has one benchmark per
-// table/figure.
+// results. cmd/tnexp prints any of the evaluation tables by name.
 package truenorth

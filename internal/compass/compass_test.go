@@ -286,7 +286,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestLongRegressionEquivalence(t *testing.T) {
 	// A longer-horizon regression (the paper ran 10k to 100M time steps;
-	// we run 10k here and leave longer horizons to cmd/regress).
+	// we run 10k here and leave longer horizons to `tnexp -ticks N regress`).
 	if testing.Short() {
 		t.Skip("10k-tick regression in -short mode")
 	}

@@ -10,11 +10,11 @@ import (
 	"truenorth/internal/apps/neovision"
 	"truenorth/internal/apps/saccade"
 	"truenorth/internal/apps/saliency"
+	"truenorth/internal/compass"
 	"truenorth/internal/corelet"
 	"truenorth/internal/energy"
 	"truenorth/internal/modelcheck"
 	"truenorth/internal/router"
-	"truenorth/internal/sim"
 	"truenorth/internal/vision"
 	"truenorth/internal/vnperf"
 )
@@ -47,18 +47,8 @@ type AppRunConfig struct {
 	Frames int
 	// Objects is the synthetic scene population.
 	Objects int
-	// Engine names the registered engine expression to run on ("" =
-	// compass, the parallel simulator).
-	Engine string
-	// Workers is the parallel worker count (0 = GOMAXPROCS; ignored by the
-	// single-threaded chip engine).
-	Workers int
 	// Seed drives the scene.
 	Seed int64
-	// Verify statically verifies each placed application model
-	// (modelcheck), with the placement's input pins declared as external
-	// injection points, and aborts on any finding.
-	Verify bool
 }
 
 // DefaultAppRunConfig returns a configuration that runs all five apps in
@@ -128,8 +118,11 @@ func buildApp(name string, w, h int) (*corelet.Net, error) {
 }
 
 // RunApps builds, places, and streams synthetic video through all five
-// applications, measuring activity and computing the Fig. 7 comparisons at
-// paper-scale loads.
+// applications on the Compass engine (GOMAXPROCS workers), measuring
+// activity and computing the Fig. 7 comparisons at paper-scale loads. Each
+// placed model is statically verified (modelcheck) first, with the
+// placement's input pins declared as external injection points, and a
+// finding aborts the run.
 func RunApps(cfg AppRunConfig) ([]AppResult, error) {
 	tn := energy.TrueNorth()
 	bgq, x86 := vnperf.BGQ(), vnperf.X86()
@@ -147,19 +140,18 @@ func RunApps(cfg AppRunConfig) ([]AppResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pa.name, err)
 		}
-		if cfg.Verify {
-			opts := modelcheck.Options{ExternalInputs: placementInputs(p)}
-			if err := modelcheck.Verify(p.Mesh, p.Configs, opts); err != nil {
-				return nil, fmt.Errorf("%s: %w", pa.name, err)
-			}
+		opts := modelcheck.Options{ExternalInputs: placementInputs(p)}
+		if err := modelcheck.Verify(p.Mesh, p.Configs, opts); err != nil {
+			return nil, fmt.Errorf("%s: %w", pa.name, err)
 		}
-		eng, err := sim.NewEngine(engineOrDefault(cfg.Engine), p.Mesh, p.Configs, sim.WithWorkers(cfg.Workers))
+		eng, err := compass.New(p.Mesh, p.Configs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pa.name, err)
 		}
 		scene := vision.NewScene(cfg.ImgW, cfg.ImgH, cfg.Objects, cfg.Seed)
 		tr := vision.DefaultTransducer()
 		run, err := vision.RunVideo(eng, p, "pixels", scene, tr, cfg.Frames)
+		eng.Close()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pa.name, err)
 		}

@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"truenorth/internal/energy"
+	"truenorth/internal/leakcheck"
 	"truenorth/internal/netgen"
 	"truenorth/internal/router"
 )
@@ -17,9 +19,22 @@ func tinyChar() CharConfig {
 		Grid:    router.Mesh{W: 4, H: 4},
 		Warmup:  20,
 		Ticks:   40,
-		Workers: 4,
 		Seed:    1,
 		Voltage: 0.75,
+	}
+}
+
+// TestDriversCloseTheirEngines runs the Compass-backed drivers with a
+// four-worker pool per engine: every pool goroutine must be stopped when
+// the driver returns, not left for a finalizer after some later GC.
+func TestDriversCloseTheirEngines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	leakcheck.Check(t)
+	if _, err := Characterize(tinyChar()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MeasureGoScaling(router.Mesh{W: 4, H: 4}, 8, []int{2, 4}, 1); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -67,11 +82,13 @@ func TestCharacterizeContourShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := func(rate float64, syn int) CharPoint {
-		cp, ok := lookup(pts, rate, syn)
-		if !ok {
-			t.Fatalf("missing point %v/%d", rate, syn)
+		for _, p := range pts {
+			if p.Point.RateHz == rate && p.Point.Syn == syn {
+				return p
+			}
 		}
-		return cp
+		t.Fatalf("missing point %v/%d", rate, syn)
+		return CharPoint{}
 	}
 	low := at(10, 51)
 	high := at(200, 256)
@@ -165,7 +182,12 @@ func TestRunAppsAllFive(t *testing.T) {
 	if len(results) != 5 {
 		t.Fatalf("%d app results, want 5", len(results))
 	}
+	// The Section IV-B table echoes the paper's network sizes.
+	paperNeurons := map[string]int{"Neovision": 660009, "Haar": 617567, "LBP": 813978, "Saccade": 612458, "Saliency": 889461}
 	for _, r := range results {
+		if r.PaperNeurons != paperNeurons[r.Name] {
+			t.Errorf("%s: paper neurons %d, want %d", r.Name, r.PaperNeurons, paperNeurons[r.Name])
+		}
 		if r.Neurons == 0 || r.Cores == 0 {
 			t.Errorf("%s: empty network", r.Name)
 		}
@@ -189,8 +211,10 @@ func TestRunAppsAllFive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !strings.Contains(buf.String(), "Fig 7b") {
-		t.Fatal("app tables missing Fig 7b")
+	for _, want := range []string{"Section IV-B applications", "Fig 7a", "Fig 7b"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("app tables missing %q", want)
+		}
 	}
 }
 

@@ -112,6 +112,7 @@ func MeasureGoScaling(grid router.Mesh, ticks int, workerSweep []int, seed int64
 		start := time.Now()
 		eng.Run(ticks)
 		per := time.Since(start).Seconds() / float64(ticks)
+		eng.Close()
 		if base == 0 {
 			base = per
 		}

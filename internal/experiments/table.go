@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sections VI and VII). Each driver returns structured rows
-// and can print them as an aligned text table; the cmd/ tools are thin
-// wrappers. DESIGN.md §4 maps each driver to its figure.
+// and can print them as an aligned text table; cmd/tnexp names the tables
+// and prints them. DESIGN.md §4 maps each driver to its figure.
 package experiments
 
 import (

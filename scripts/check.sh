@@ -41,7 +41,10 @@
 #   9. serve smoke   — boot tnserved, pause/resume and checkpoint/restore
 #                      a live session, and require its output stream to be
 #                      byte-identical to batch tnsim runs on both engines
-#  10. benchmark     — vet and smoke-test benchmark/, a module of its own
+#  10. tnexp         — the paper's tables from their one entry point:
+#                      the Section VI-A chip<->Compass regression at a
+#                      1,000-tick horizon and the Section VII projections
+#  11. benchmark     — vet and smoke-test benchmark/, a module of its own
 #                      that root `go build ./...` does not see: it compiles
 #                      against the product's API, so this is where a
 #                      refactor that breaks the frozen surface (ROADMAP,
@@ -113,6 +116,9 @@ echo "==> allocs gate (per-tick heap budgets)"
 
 echo "==> serve smoke (tnserved end-to-end)"
 ./scripts/serve_smoke.sh
+
+echo "==> tnexp -ticks 1000 regress future"
+go run ./cmd/tnexp -ticks 1000 regress future
 
 echo "==> benchmark (go vet + smoke test of the benchmark module)"
 (cd benchmark && go vet ./... && go test ./...)
