@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"truenorth/internal/chip"
 	"truenorth/internal/core"
 	"truenorth/internal/netgen"
+	"truenorth/internal/neuron"
 	"truenorth/internal/router"
 	"truenorth/internal/sim"
 )
@@ -146,15 +149,60 @@ func snapshot(t *testing.T, eng CheckpointableEngine) []byte {
 }
 
 // rejectUntouched asserts ReadCheckpoint refuses input and leaves eng
-// bit-identical to before the attempt.
-func rejectUntouched(t *testing.T, eng CheckpointableEngine, input []byte, what string) {
+// bit-identical to before the attempt, and returns the refusal.
+func rejectUntouched(t *testing.T, eng CheckpointableEngine, input []byte, what string) error {
 	t.Helper()
 	before := snapshot(t, eng)
-	if err := ReadCheckpoint(bytes.NewReader(input), eng); err == nil {
+	err := ReadCheckpoint(bytes.NewReader(input), eng)
+	if err == nil {
 		t.Fatalf("%s accepted", what)
 	}
 	if !bytes.Equal(snapshot(t, eng), before) {
 		t.Fatalf("%s was rejected but changed the engine (tick, NoC or core state)", what)
+	}
+	return err
+}
+
+// ckptLayout returns where a checkpoint's parts sit: the offset of the
+// populated-core count, the offset of the first core entry, and the size of
+// one entry (a uint32 core index, then the state, V first).
+func ckptLayout() (countOff, body, entry int) {
+	countOff = 7 + 8 + binary.Size(sim.NoCStats{}) // magic, tick, NoC stats
+	return countOff, countOff + 4, 4 + binary.Size(core.State{})
+}
+
+// TestReadCheckpointRejectsPotentialsOutOfRange: a potential outside the
+// 20-bit datapath is refused before anything is applied, and the error names
+// the core and the neuron; the rails themselves restore and step.
+func TestReadCheckpointRejectsPotentialsOutOfRange(t *testing.T) {
+	eng := ckptEngine(t)
+	full := snapshot(t, eng)
+	eng.Run(10)
+	_, body, entry := ckptLayout()
+	off := body + 2*entry + 4 + 4*5 // core 2, V[5]
+	patch := func(v int32) []byte {
+		c := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint32(c[off:], uint32(v))
+		return c
+	}
+	for _, v := range []int32{neuron.VMax + 1, neuron.VMin - 1, math.MaxInt32, math.MinInt32} {
+		err := rejectUntouched(t, eng, patch(v), fmt.Sprintf("potential %d", v))
+		if msg := err.Error(); !strings.Contains(msg, "core 2 neuron 5") {
+			t.Fatalf("potential %d refused with %q, which does not name core 2 neuron 5", v, msg)
+		}
+	}
+	for _, v := range []int32{neuron.VMax, neuron.VMin} {
+		if err := ReadCheckpoint(bytes.NewReader(patch(v)), eng); err != nil {
+			t.Fatalf("potential %d at the rail rejected: %v", v, err)
+		}
+		eng.Run(5)
+		for _, c := range eng.Cores() {
+			for j, got := range c.V {
+				if got < neuron.VMin || got > neuron.VMax {
+					t.Fatalf("restored at %d, neuron %d reads %d five ticks later", v, j, got)
+				}
+			}
+		}
 	}
 }
 
@@ -183,12 +231,7 @@ func TestReadCheckpointRejectsBadCoreSets(t *testing.T) {
 	eng := ckptEngine(t)
 	full := snapshot(t, eng)
 	eng.Run(10)
-	// Layout: magic (7), tick (8), NoC stats, count (4), then per core an
-	// index (4) and a state.
-	nocLen := binary.Size(sim.NoCStats{})
-	countOff := 7 + 8 + nocLen
-	body := countOff + 4
-	entry := 4 + binary.Size(core.State{})
+	countOff, body, entry := ckptLayout()
 	if got := body + 4*entry; got != len(full) {
 		t.Fatalf("checkpoint is %d bytes, layout predicts %d", len(full), got)
 	}
@@ -274,5 +317,62 @@ func FuzzReadModel(f *testing.F) {
 				t.Fatalf("core %d: config differs after round trip", i)
 			}
 		}
+	})
+}
+
+// FuzzReadCheckpoint asserts the checkpoint decoder's contract on arbitrary
+// bytes, each against a fresh 2×2 engine: it never panics; an accepted input
+// leaves every potential inside the 20-bit range and the engine steps; a
+// rejected input leaves every core's SaveState as it was.
+func FuzzReadCheckpoint(f *testing.F) {
+	mesh := router.Mesh{W: 2, H: 2}
+	configs, err := netgen.Build(netgen.Params{Grid: mesh, RateHz: 50, SynPerNeuron: 40, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	newEngine := func(tb testing.TB) *chip.Model {
+		eng, err := chip.New(mesh, configs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return eng
+	}
+	src := newEngine(f)
+	src.Run(20)
+	var valid bytes.Buffer
+	if err := WriteCheckpoint(&valid, src); err != nil {
+		f.Fatal(err)
+	}
+	_, body, entry := ckptLayout()
+	flipped := append([]byte(nil), valid.Bytes()...)
+	for _, off := range []int{body - 1, body + 4 + 3, body + entry + 4 + 4*7 + 2, len(flipped) - 9} {
+		flipped[off] ^= 0xA5
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-entry/2])
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		eng := newEngine(t)
+		cores := eng.Cores()
+		before := make([]core.State, len(cores))
+		for i, c := range cores {
+			before[i] = c.SaveState()
+		}
+		if err := ReadCheckpoint(bytes.NewReader(data), eng); err != nil {
+			for i, c := range cores {
+				if c.SaveState() != before[i] {
+					t.Fatalf("rejected input (%v) changed core %d", err, i)
+				}
+			}
+			return
+		}
+		for i, c := range cores {
+			for j, v := range c.V {
+				if v < neuron.VMin || v > neuron.VMax {
+					t.Fatalf("accepted input restored core %d neuron %d at %d", i, j, v)
+				}
+			}
+		}
+		eng.Step()
 	})
 }

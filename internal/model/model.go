@@ -390,7 +390,8 @@ func WriteCheckpoint(w io.Writer, eng CheckpointableEngine) error {
 // are restored; subsequent Steps continue bit-exactly — on either engine
 // expression. The whole snapshot is decoded and validated before anything
 // is applied: it must carry exactly one state per populated core of eng,
-// so a truncated or malformed snapshot returns an error and leaves eng
+// and every potential must lie in [neuron.VMin, neuron.VMax], so a
+// truncated or malformed snapshot returns an error and leaves eng
 // untouched.
 func ReadCheckpoint(r io.Reader, eng CheckpointableEngine) error {
 	br := bufio.NewReader(r)
@@ -442,6 +443,14 @@ func ReadCheckpoint(r io.Reader, eng CheckpointableEngine) error {
 		seen[i] = true
 		if err := binary.Read(br, binary.LittleEndian, &states[k]); err != nil {
 			return err
+		}
+		// The kernel adds to a potential before clamping it, and unclamped
+		// wherever the 20-bit range proves that safe: a potential outside
+		// the range would wrap int32.
+		for j, v := range states[k].V {
+			if v < neuron.VMin || v > neuron.VMax {
+				return fmt.Errorf("checkpoint: core %d neuron %d: potential %d outside the 20-bit range [%d, %d]", i, j, v, neuron.VMin, neuron.VMax)
+			}
 		}
 	}
 	for k, st := range states {

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -234,8 +235,10 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 // TestFailedRestoreLeavesSessionUntouched: a restore whose body is cut
-// short is refused, and the session carries on exactly as an identical
-// twin that never saw the request — no half-restored core, no stale clock.
+// short, or carries a potential outside the 20-bit range, is refused with a
+// 400 and the stable invalid_request code, and the session carries on
+// exactly as an identical twin that never saw the requests — no
+// half-restored core, no stale clock.
 func TestFailedRestoreLeavesSessionUntouched(t *testing.T) {
 	leakcheck.Check(t)
 	ts := newTestServer(t, serve.Config{})
@@ -258,14 +261,29 @@ func TestFailedRestoreLeavesSessionUntouched(t *testing.T) {
 	runBoth(60)
 	ckpt := fetchAER(t, bases[0]+"/checkpoint")
 	runBoth(30) // both sessions move on from the checkpoint
-	cut := strings.NewReader(ckpt[:len(ckpt)-100])
-	resp, err := http.Post(bases[0]+"/restore", "application/octet-stream", cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
-		t.Fatalf("truncated restore = %d, want a 4xx refusal", resp.StatusCode)
+	// The first core's V[0] follows the magic, the tick, the NoC stats, the
+	// core count and the core's index.
+	wrapped := []byte(ckpt)
+	binary.LittleEndian.PutUint32(wrapped[7+8+binary.Size(sim.NoCStats{})+4+4:], 1<<31-1)
+	for _, bad := range []struct{ name, body string }{
+		{"truncated", ckpt[:len(ckpt)-100]},
+		{"potential overflow", string(wrapped)},
+	} {
+		resp, err := http.Post(bases[0]+"/restore", "application/octet-stream", strings.NewReader(bad.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s restore = %d, want 400", bad.name, resp.StatusCode)
+		}
+		if code := errEnvelope(t, raw); code != "invalid_request" {
+			t.Fatalf("%s restore: code %q, want invalid_request", bad.name, code)
+		}
 	}
 	runBoth(60)
 	var stats [2]serve.SessionInfo

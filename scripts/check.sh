@@ -32,19 +32,23 @@
 #   6. go test       — the full suite with -shuffle=on (test-order
 #                      coupling is a bug), including chip<->Compass
 #                      equivalence and the bitwise-reproducibility assay
-#   7. go test -race — the parallel Compass engine, the cross-engine
+#   7. go test -fuzz — ten seconds each of the model-file and checkpoint
+#                      decoder fuzzers (FuzzReadModel, FuzzReadCheckpoint):
+#                      hostile bytes never panic, and what they accept is
+#                      in range and runs
+#   8. go test -race — the parallel Compass engine, the cross-engine
 #                      determinism tests, and the session-runtime/serving
 #                      layers under the race detector
-#   8. allocs gate   — per-tick heap-allocation budgets for both engines,
+#   9. allocs gate   — per-tick heap-allocation budgets for both engines,
 #                      ratcheted from both sides (the dynamic complement
 #                      to tnlint's hotalloc and tnproof's goldens)
-#   9. serve smoke   — boot tnserved, pause/resume and checkpoint/restore
+#  10. serve smoke   — boot tnserved, pause/resume and checkpoint/restore
 #                      a live session, and require its output stream to be
 #                      byte-identical to batch tnsim runs on both engines
-#  10. tnexp         — the paper's tables from their one entry point:
+#  11. tnexp         — the paper's tables from their one entry point:
 #                      the Section VI-A chip<->Compass regression at a
 #                      1,000-tick horizon and the Section VII projections
-#  11. benchmark     — vet and smoke-test benchmark/, a module of its own
+#  12. benchmark     — vet and smoke-test benchmark/, a module of its own
 #                      that root `go build ./...` does not see: it compiles
 #                      against the product's API, so this is where a
 #                      refactor that breaks the frozen surface (ROADMAP,
@@ -107,6 +111,11 @@ go run ./cmd/tnverify -sweep-grid 4 -sweep-every 1 -assume-inputs=false -v
 
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
+
+for fuzz in FuzzReadModel FuzzReadCheckpoint; do
+	echo "==> go test -fuzz $fuzz -fuzztime 10s ./internal/model"
+	go test -run '^$' -fuzz "^$fuzz\$" -fuzztime 10s ./internal/model
+done
 
 echo "==> go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/..."
 go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/...
