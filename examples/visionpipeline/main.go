@@ -99,6 +99,7 @@ func place(net *corelet.Net) (*chip.Model, *corelet.Placement) {
 
 func reportEnergy(name string, eng *chip.Model, ticks int) {
 	l := energy.LoadFrom(eng.Counters(), eng.NoC(), uint64(ticks))
+	l.NeuronUpdates = float64(energy.LiveNeurons(eng)) // the silicon scans every live neuron
 	model := energy.TrueNorth()
 	fmt.Printf("%s on TrueNorth at real time: %.3f mW active+passive, %.1f MSOPS, %.1f pJ/synop\n",
 		name, model.PowerW(l, 1000, 0.75)*1e3, l.SOPS(1000)/1e6, model.ActivePJPerSynEvent(l, 0.75))

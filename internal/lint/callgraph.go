@@ -19,16 +19,12 @@ const PerfHotDirective = "//perf:hot"
 // hazards do not taint their callers because reaching them at all means the
 // fast path already failed. bfs is the router's blocked-detour fallback
 // (allocates a visited map and queue by design); inject is the engines'
-// beyond-horizon injection queue (grows pending maps by design);
-// buildWordTables is the core's first-use build of the word-path tables,
-// reached once per core, on its first over-cutover tick (one 8 KB allocation
-// so that cores that never take the word path do not carry the tables).
+// beyond-horizon injection queue (grows pending maps by design).
 // Taint propagation stops at a barrier; the barrier's own body is still
 // subject to whatever direct checks apply to its package.
 var coldFuncNames = map[string]bool{
-	"bfs":             true,
-	"inject":          true,
-	"buildWordTables": true,
+	"bfs":    true,
+	"inject": true,
 }
 
 // HazardKind classifies an intrinsic hazard a function body can carry.

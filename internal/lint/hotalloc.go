@@ -73,7 +73,7 @@ var hotFuncNames = map[string]bool{
 // package or any other module package — is reported at the call site with
 // the witness chain. Callees that are themselves hot are skipped (their own
 // bodies are checked directly), and the sanctioned cold-path barriers (bfs,
-// inject, buildWordTables) stop propagation.
+// inject) stop propagation.
 //
 // hotalloc is deliberately conservative — it cannot run escape analysis,
 // so a flagged construct is "heap-shaped", not proven to escape. The

@@ -73,6 +73,10 @@ func TestReadModelHostileHeaders(t *testing.T) {
 		// the 27-byte header must be refused before the slot allocation.
 		{"mesh area over slot cap", header(1<<14, 1<<14, 0, 0, 0)},
 		{"more cores than slots", header(2, 2, 0, 0, 5)},
+		// The next two are 2^32−1, which int() turns into −1 on a 32-bit
+		// host: a count the slot check let through (a silent empty model)
+		// and an index it let through (a panic).
+		{"negative-as-unsigned core count", header(2, 2, 0, 0, 0xFFFFFFFF)},
 		{"core index out of range", append(header(2, 2, 0, 0, 1), 0xFF, 0xFF, 0xFF, 0xFF)},
 		{"truncated after header", header(2, 2, 0, 0, 1)},
 	}

@@ -112,24 +112,27 @@ func ReadModel(r io.Reader) (router.Mesh, []*core.Config, error) {
 			return router.Mesh{}, nil, err
 		}
 	}
-	mesh := router.Mesh{W: int(w), H: int(h), TileW: int(tw), TileH: int(th)}
-	if mesh.W <= 0 || mesh.H <= 0 || mesh.W > 1<<14 || mesh.H > 1<<14 {
-		return router.Mesh{}, nil, fmt.Errorf("model: implausible mesh %dx%d", mesh.W, mesh.H)
+	// Every decoded count and index is compared as the uint32 it was read
+	// as: converted to int first, a value ≥ 2^31 turns negative on 32-bit
+	// hosts and passes an upper-bound check.
+	if w == 0 || h == 0 || w > 1<<14 || h > 1<<14 {
+		return router.Mesh{}, nil, fmt.Errorf("model: implausible mesh %dx%d", w, h)
 	}
+	mesh := router.Mesh{W: int(w), H: int(h), TileW: int(tw), TileH: int(th)}
 	slots := mesh.W * mesh.H
 	if slots > maxModelSlots {
 		return router.Mesh{}, nil, fmt.Errorf("model: mesh %dx%d exceeds %d core slots", mesh.W, mesh.H, maxModelSlots)
 	}
-	if int(n) > slots {
+	if n > uint32(slots) {
 		return router.Mesh{}, nil, fmt.Errorf("model: %d cores for %d slots", n, slots)
 	}
 	configs := make([]*core.Config, slots)
-	for k := 0; k < int(n); k++ {
+	for k := uint32(0); k < n; k++ {
 		var idx uint32
 		if err := binary.Read(br, binary.LittleEndian, &idx); err != nil {
 			return router.Mesh{}, nil, err
 		}
-		if int(idx) >= slots {
+		if idx >= uint32(slots) {
 			return router.Mesh{}, nil, fmt.Errorf("model: core index %d out of range", idx)
 		}
 		if configs[idx] != nil {

@@ -54,9 +54,10 @@ func (b Board) Neurons() int {
 	return b.Chips() * b.TileW * b.TileH * core.NeuronsPerCore
 }
 
-// Synapses returns the total synapse count.
-func (b Board) Synapses() int {
-	return b.Chips() * b.TileW * b.TileH * core.NeuronsPerCore * core.AxonsPerCore
+// Synapses returns the total synapse count, in 64 bits: a 4×4 board's 2^32
+// overflows a 32-bit int.
+func (b Board) Synapses() int64 {
+	return int64(b.Chips()*b.TileW*b.TileH) * core.NeuronsPerCore * core.AxonsPerCore
 }
 
 // New builds the functional model of the board: configs are row-major over

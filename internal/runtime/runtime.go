@@ -693,6 +693,10 @@ func (s *Session) snapshot() Stats {
 		st.LastCheckpointError = s.ckptErr.Error()
 	}
 	st.Load = energy.LoadFrom(st.Counters, st.NoC, st.Tick)
+	if st.Tick > 0 {
+		// The silicon scans every live neuron each tick (energy.LiveNeurons).
+		st.Load.NeuronUpdates = float64(energy.LiveNeurons(s.eng))
+	}
 	if s.neurons > 0 {
 		st.FiringRateHz = st.Load.Spikes / float64(s.neurons) * 1000
 	}

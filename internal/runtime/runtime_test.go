@@ -11,8 +11,11 @@ import (
 	"time"
 
 	_ "truenorth/internal/chip"
+	_ "truenorth/internal/compass"
 	"truenorth/internal/core"
+	"truenorth/internal/energy"
 	"truenorth/internal/leakcheck"
+	"truenorth/internal/netgen"
 	"truenorth/internal/neuron"
 	"truenorth/internal/router"
 	rt "truenorth/internal/runtime"
@@ -569,6 +572,47 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	if st.PendingOutputs != 1 {
 		t.Fatalf("pending outputs = %d, want 1", st.PendingOutputs)
+	}
+}
+
+// TestStatsChargeEveryLiveNeuron runs a network whose neurons are 7/8
+// event-driven relays, so the kernel skips most of them a tick, and requires
+// the session's energy readout to charge what the silicon does: all 256
+// neurons of every live core each tick, on both engines, and so at least the
+// power of scanning them with nothing else happening.
+func TestStatsChargeEveryLiveNeuron(t *testing.T) {
+	ctx := context.Background()
+	grid := router.Mesh{W: 4, H: 4}
+	m := energy.TrueNorth()
+	for _, name := range []string{"chip", "compass"} {
+		configs, err := netgen.Build(netgen.Params{Grid: grid, RateHz: 10, SynPerNeuron: 32, DrivenFraction: 0.875, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := sim.NewEngine(name, grid, configs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := rt.New(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Run(ctx, 100)
+		st, serr := s.Stats(ctx)
+		s.Close()
+		if err != nil || serr != nil {
+			t.Fatal(err, serr)
+		}
+		live := float64(st.PopulatedCores * core.NeuronsPerCore)
+		if st.Load.NeuronUpdates != live {
+			t.Fatalf("%s: %.0f neuron updates a tick, want every live neuron, %.0f", name, st.Load.NeuronUpdates, live)
+		}
+		if performed := float64(st.Counters.NeuronUpdates) / float64(st.Tick); performed > live/2 {
+			t.Fatalf("%s: the kernel evaluated %.0f of %.0f neurons a tick; the network does not exercise the skip", name, performed, live)
+		}
+		if floor := m.PowerW(energy.Load{NeuronUpdates: live}, 1000, m.VRef); st.PowerW < floor {
+			t.Fatalf("%s: PowerW %.4g below the idle floor %.4g of scanning every live neuron", name, st.PowerW, floor)
+		}
 	}
 }
 

@@ -32,23 +32,29 @@
 #   6. go test       — the full suite with -shuffle=on (test-order
 #                      coupling is a bug), including chip<->Compass
 #                      equivalence and the bitwise-reproducibility assay
-#   7. go test -fuzz — ten seconds each of the model-file and checkpoint
+#   7. 386           — `GOARCH=386 go vet ./...`, then the kernel, the
+#                      engines, the substrate and the two decoders' tests
+#                      on a 32-bit host, where int is 32 bits and a
+#                      decoded uint32 converted to int can turn negative
+#                      (an amd64 Linux host runs 386 test binaries
+#                      natively)
+#   8. go test -fuzz — ten seconds each of the model-file and checkpoint
 #                      decoder fuzzers (FuzzReadModel, FuzzReadCheckpoint):
 #                      hostile bytes never panic, and what they accept is
 #                      in range and runs
-#   8. go test -race — the parallel Compass engine, the cross-engine
+#   9. go test -race — the parallel Compass engine, the cross-engine
 #                      determinism tests, and the session-runtime/serving
 #                      layers under the race detector
-#   9. allocs gate   — per-tick heap-allocation budgets for both engines,
+#  10. allocs gate   — per-tick heap-allocation budgets for both engines,
 #                      ratcheted from both sides (the dynamic complement
 #                      to tnlint's hotalloc and tnproof's goldens)
-#  10. serve smoke   — boot tnserved, pause/resume and checkpoint/restore
+#  11. serve smoke   — boot tnserved, pause/resume and checkpoint/restore
 #                      a live session, and require its output stream to be
 #                      byte-identical to batch tnsim runs on both engines
-#  11. tnexp         — the paper's tables from their one entry point:
+#  12. tnexp         — the paper's tables from their one entry point:
 #                      the Section VI-A chip<->Compass regression at a
 #                      1,000-tick horizon and the Section VII projections
-#  12. benchmark     — vet and smoke-test benchmark/, a module of its own
+#  13. benchmark     — vet and smoke-test benchmark/, a module of its own
 #                      that root `go build ./...` does not see: it compiles
 #                      against the product's API, so this is where a
 #                      refactor that breaks the frozen surface (ROADMAP,
@@ -111,6 +117,11 @@ go run ./cmd/tnverify -sweep-grid 4 -sweep-every 1 -assume-inputs=false -v
 
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
+
+echo "==> GOARCH=386 go vet ./... && GOARCH=386 go test (kernel, engines, decoders)"
+GOARCH=386 go vet ./...
+GOARCH=386 go test ./internal/core ./internal/neuron ./internal/prng ./internal/router \
+	./internal/sim ./internal/chip ./internal/compass ./internal/model ./internal/spikeio
 
 for fuzz in FuzzReadModel FuzzReadCheckpoint; do
 	echo "==> go test -fuzz $fuzz -fuzztime 10s ./internal/model"
