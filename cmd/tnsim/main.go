@@ -141,12 +141,13 @@ func main() {
 	eng.DrainOutputs() // the recorded stream covers the measured window only
 	l := energy.MeasureLoad(eng, *ticks)
 	stopProfile()
+	outs := eng.DrainOutputs()
 	if *spikesOut != "" {
 		f, ferr := os.Create(*spikesOut)
 		if ferr != nil {
 			fail(ferr)
 		}
-		events := spikeio.FromOutputs(eng.DrainOutputs())
+		events := spikeio.FromOutputs(outs)
 		err = spikeio.Write(f, events)
 		if cerr := f.Close(); err == nil {
 			err = cerr
@@ -164,7 +165,20 @@ func main() {
 	}
 
 	fmt.Printf("engine:            %s (%dx%d cores, %d neurons)\n", *engine, *grid, *grid, int(neurons))
-	fmt.Printf("measured rate:     %.1f Hz (target %.1f)\n", l.Spikes/neurons*1000, *rate)
+	fmt.Printf("measured rate:     %.1f Hz (target %.1f)", l.Spikes/neurons*1000, *rate)
+	if pm := netgen.PacemakersPerCore(*driven); *load == "" && *outputs > 0 && pm > 0 && pm < core.NeuronsPerCore {
+		// Only the pacemakers hold the programmed rate; the output taps on
+		// them (neurons 0, outputs, 2·outputs, … below pm) sample it.
+		n := 0
+		for _, o := range outs {
+			if int(o.ID&0xFF) < pm {
+				n++
+			}
+		}
+		taps := (pm + *outputs - 1) / *outputs * *grid * *grid
+		fmt.Printf("; pacemakers %.1f Hz", float64(n)/float64(taps**ticks)*1000)
+	}
+	fmt.Println()
 	if l.Spikes > 0 {
 		fmt.Printf("syn events/spike:  %.1f (target %d)\n", l.SynEvents/l.Spikes, *syn)
 	}

@@ -430,3 +430,30 @@ func TestSweepMatchesNetgen(t *testing.T) {
 		t.Fatal("sweep definition drifted")
 	}
 }
+
+// TestSweepLoadMatchesSyntheticLoad holds the measured load of each of the
+// 88 sweep networks, run at 4×4 and scaled to the chip, to the closed-form
+// energy.SyntheticLoad the Fig. 5b/5c/5f sweeps use: neuron evaluations
+// exactly (the silicon scans every neuron every tick, whatever the kernel
+// skipped), and spikes and synaptic events within netgen's 15 % rate
+// tolerance (TestFiringRateMatchesTarget).
+func TestSweepLoadMatchesSyntheticLoad(t *testing.T) {
+	cfg := DefaultCharConfig()
+	cfg.Grid = router.Mesh{W: 4, H: 4}
+	pts, err := Characterize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := energy.TrueNorth()
+	within := func(got, want float64) bool { return math.Abs(got-want) <= 0.15*want }
+	for _, p := range pts {
+		want := m.SyntheticLoad(p.Point.RateHz, float64(p.Point.Syn))
+		if p.Load.NeuronUpdates != want.NeuronUpdates {
+			t.Errorf("point %+v: %.0f neuron updates a tick, synthetic %.0f", p.Point, p.Load.NeuronUpdates, want.NeuronUpdates)
+		}
+		if !within(p.Load.Spikes, want.Spikes) || !within(p.Load.SynEvents, want.SynEvents) {
+			t.Errorf("point %+v: %.0f spikes and %.0f synaptic events a tick, synthetic %.0f and %.0f",
+				p.Point, p.Load.Spikes, p.Load.SynEvents, want.Spikes, want.SynEvents)
+		}
+	}
+}

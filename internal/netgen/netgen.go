@@ -137,12 +137,12 @@ func threshold(rateHz float64) int32 {
 	return int32(leak*1000/rateHz + 0.5)
 }
 
-// pacemakersPerCore returns the number of tonic pacemaker neurons per core at
+// PacemakersPerCore returns the number of tonic pacemaker neurons per core at
 // the given driven fraction — the complement of the relays Build converts.
 // Only these neurons hold the programmed firing rate; relays fire on synaptic
 // drive alone, so rate measurements normalized over the whole population
 // understate the pace by exactly the driven fraction.
-func pacemakersPerCore(drivenFraction float64) int {
+func PacemakersPerCore(drivenFraction float64) int {
 	return core.NeuronsPerCore - int(drivenFraction*core.NeuronsPerCore+0.5)
 }
 
@@ -166,7 +166,7 @@ func Build(p Params) ([]*core.Config, error) {
 	}
 
 	// Neurons j >= pacemakers in every core become driven relays.
-	pacemakers := pacemakersPerCore(p.DrivenFraction)
+	pacemakers := PacemakersPerCore(p.DrivenFraction)
 
 	configs := make([]*core.Config, nCores)
 	for ci := 0; ci < nCores; ci++ {

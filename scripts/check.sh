@@ -32,12 +32,16 @@
 #   6. go test       — the full suite with -shuffle=on (test-order
 #                      coupling is a bug), including chip<->Compass
 #                      equivalence and the bitwise-reproducibility assay
-#   7. 386           — `GOARCH=386 go vet ./...`, then the kernel, the
-#                      engines, the substrate and the two decoders' tests
-#                      on a 32-bit host, where int is 32 bits and a
+#   7. 386, s390x    — `GOARCH=386 go vet ./...`, then the tests of the
+#                      determinism packages (the kernel, the engines, the
+#                      substrate, netgen, the session runtime and server,
+#                      the two decoders) and three seconds of each decoder
+#                      fuzzer on a 32-bit host, where int is 32 bits and a
 #                      decoded uint32 converted to int can turn negative
 #                      (an amd64 Linux host runs 386 test binaries
-#                      natively)
+#                      natively); then `GOARCH=s390x` vet and test builds
+#                      of the same packages on a big-endian target, which
+#                      the host cannot run
 #   8. go test -fuzz — ten seconds each of the model-file and checkpoint
 #                      decoder fuzzers (FuzzReadModel, FuzzReadCheckpoint):
 #                      hostile bytes never panic, and what they accept is
@@ -118,10 +122,22 @@ go run ./cmd/tnverify -sweep-grid 4 -sweep-every 1 -assume-inputs=false -v
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
-echo "==> GOARCH=386 go vet ./... && GOARCH=386 go test (kernel, engines, decoders)"
+det_pkgs="./internal/core ./internal/neuron ./internal/prng ./internal/router ./internal/sim
+	./internal/chip ./internal/compass ./internal/model ./internal/spikeio ./internal/netgen
+	./internal/runtime ./internal/serve"
+
+echo "==> GOARCH=386 go vet ./... && GOARCH=386 go test + fuzz (determinism packages)"
 GOARCH=386 go vet ./...
-GOARCH=386 go test ./internal/core ./internal/neuron ./internal/prng ./internal/router \
-	./internal/sim ./internal/chip ./internal/compass ./internal/model ./internal/spikeio
+GOARCH=386 go test $det_pkgs
+for fuzz in FuzzReadModel FuzzReadCheckpoint; do
+	GOARCH=386 go test -run '^$' -fuzz "^$fuzz\$" -fuzztime 3s ./internal/model
+done
+
+echo "==> GOARCH=s390x go vet && go test -c (determinism packages, build only)"
+GOARCH=s390x go vet $det_pkgs
+s390x_bin=$(mktemp -d)
+trap 'rm -rf "$s390x_bin"' EXIT
+GOARCH=s390x go test -c -o "$s390x_bin/" $det_pkgs
 
 for fuzz in FuzzReadModel FuzzReadCheckpoint; do
 	echo "==> go test -fuzz $fuzz -fuzztime 10s ./internal/model"
