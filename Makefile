@@ -4,7 +4,7 @@
 # vet and smoke test). The benchmark itself is `bash benchmark/run.sh`; the
 # paper's tables are `go run ./cmd/tnexp <table>...`.
 
-.PHONY: check build test lint api-gate api-gate-update proof proof-update verify-models race race-stress allocs-gate serve-smoke
+.PHONY: check build test lint lockorder-update api-gate api-gate-update proof proof-update verify-models race race-stress allocs-gate serve-smoke
 
 check:
 	./scripts/check.sh
@@ -19,6 +19,12 @@ test:
 # run with e.g. `go run ./cmd/tnlint -only lockorder,chanflow ./...`.
 lint:
 	go run ./cmd/tnlint ./...
+
+# Re-bless the rendered lock-order hierarchy
+# (internal/lint/testdata/lockorder/hierarchy.golden) after a reviewed
+# change to the locks or their nesting.
+lockorder-update:
+	go test ./internal/lint -run TestLockOrderGolden -update-lockorder
 
 # Static API-contract gate (DESIGN.md §14): the apienvelope/wiretag/
 # boundconv analyzers over the serving surface, plus the two-sided

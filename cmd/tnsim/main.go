@@ -117,15 +117,11 @@ func main() {
 	}
 
 	if *loadState != "" {
-		ckpt, ok := eng.(model.CheckpointableEngine)
-		if !ok {
-			fail(fmt.Errorf("engine %q does not support checkpoints", *engine))
-		}
 		f, ferr := os.Open(*loadState)
 		if ferr != nil {
 			fail(ferr)
 		}
-		err = model.ReadCheckpoint(f, ckpt)
+		err = model.ReadCheckpoint(f, eng)
 		f.Close()
 		if err != nil {
 			fail(err)
@@ -193,15 +189,11 @@ func main() {
 		bd.PassiveW*1e3, bd.NeuronW*1e3, bd.SynapseW*1e3, bd.HopW*1e3)
 
 	if *saveState != "" {
-		ckpt, ok := eng.(model.CheckpointableEngine)
-		if !ok {
-			fail(fmt.Errorf("engine %q does not support checkpoints", *engine))
-		}
 		f, ferr := os.Create(*saveState)
 		if ferr != nil {
 			fail(ferr)
 		}
-		err = model.WriteCheckpoint(f, ckpt)
+		err = model.WriteCheckpoint(f, eng)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

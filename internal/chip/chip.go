@@ -117,7 +117,4 @@ func (m *Model) Run(n int) {
 	}
 }
 
-var (
-	_ sim.Engine          = (*Model)(nil)
-	_ sim.CheckedInjector = (*Model)(nil)
-)
+var _ sim.Engine = (*Model)(nil)

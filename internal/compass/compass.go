@@ -286,7 +286,6 @@ func (s *Sim) LoadImbalance() float64 {
 }
 
 var (
-	_ sim.Engine          = (*Sim)(nil)
-	_ sim.CheckedInjector = (*Sim)(nil)
-	_ io.Closer           = (*Sim)(nil)
+	_ sim.Engine = (*Sim)(nil)
+	_ io.Closer  = (*Sim)(nil)
 )

@@ -2,15 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"truenorth/internal/chip"
 	"truenorth/internal/energy"
 	"truenorth/internal/leakcheck"
 	"truenorth/internal/netgen"
 	"truenorth/internal/router"
+	rt "truenorth/internal/runtime"
 )
 
 // tinyChar returns a fast characterization config for tests.
@@ -455,5 +458,73 @@ func TestSweepLoadMatchesSyntheticLoad(t *testing.T) {
 			t.Errorf("point %+v: %.0f spikes and %.0f synaptic events a tick, synthetic %.0f and %.0f",
 				p.Point, p.Load.Spikes, p.Load.SynEvents, want.Spikes, want.SynEvents)
 		}
+	}
+}
+
+// TestSweepLoadAgreesAcrossPaths reads one sweep network's load three ways
+// — a runtime session's stats, energy.MeasureLoad on a fresh engine, and
+// Characterize with no warm-up — and requires the same full-chip load and
+// power from each, to the bit.
+func TestSweepLoadAgreesAcrossPaths(t *testing.T) {
+	const n, ticks = 45, 60
+	cfg := DefaultCharConfig()
+	cfg.Grid, cfg.Warmup, cfg.Ticks = router.Mesh{W: 4, H: 4}, 0, ticks
+	configs, pt, err := netgen.BuildSweep(cfg.Grid, n, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := chip.New(cfg.Grid, configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := rt.New(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	if err := s.Run(ctx, ticks); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := chip.New(cfg.Grid, configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := energy.MeasureLoad(fresh, ticks)
+
+	pts, err := Characterize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	char := pts[n]
+	if char.Point != pt {
+		t.Fatalf("Characterize point %d is %+v, BuildSweep's %+v", n, char.Point, pt)
+	}
+
+	m := energy.TrueNorth()
+	if st.Load != measured {
+		t.Errorf("session load %+v, MeasureLoad %+v", st.Load, measured)
+	}
+	if st.PowerW != m.PowerW(measured, 1000, m.VRef) {
+		t.Errorf("session power %g W, MeasureLoad's %g W", st.PowerW, m.PowerW(measured, 1000, m.VRef))
+	}
+	scaled := ScaleLoadToChip(st.Load, cfg.Grid)
+	if scaled.Spikes == 0 || scaled.Hops == 0 {
+		t.Fatalf("sweep network %d is silent (%+v); the comparison is vacuous", n, scaled)
+	}
+	if char.Load != scaled {
+		t.Errorf("Characterize load %+v, session's scaled %+v", char.Load, scaled)
+	}
+	if want := m.EnergyPerTickJ(scaled, 1000, cfg.Voltage) * 1e6; char.EnergyPerTickUJ != want {
+		t.Errorf("Characterize energy %g µJ a tick, session's %g µJ", char.EnergyPerTickUJ, want)
+	}
+	if want := m.GSOPSPerWatt(scaled, 1000, cfg.Voltage); char.GSOPSPerW != want {
+		t.Errorf("Characterize %g GSOPS/W, session's %g", char.GSOPSPerW, want)
 	}
 }

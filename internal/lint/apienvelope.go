@@ -13,7 +13,7 @@ var APIEnvelopePackages = []string{Module + "/internal/serve"}
 
 // APIEnvelope returns the error-envelope contract analyzer for the serving
 // package. The v1 API promises one error shape — the JSON envelope
-// {"error":{code,message}} with nine stable codes — and one code↔status
+// {"error":{code,message}} with eight stable codes — and one code↔status
 // mapping, declared once in the package-level codeStatus registry. The
 // analyzer enforces that promise at every site:
 //

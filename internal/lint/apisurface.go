@@ -37,7 +37,6 @@ var httpStatusValue = map[string]int{
 	"http.StatusRequestEntityTooLarge": 413,
 	"http.StatusTooManyRequests":       429,
 	"http.StatusInternalServerError":   500,
-	"http.StatusNotImplemented":        501,
 	"http.StatusServiceUnavailable":    503,
 }
 

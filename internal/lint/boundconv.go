@@ -24,7 +24,7 @@ var BoundConvPackages = []string{
 // a strconv.Atoi/ParseInt/ParseUint result on a query or path parameter —
 // must pass a range guard before it reaches one of the conversion-shaped
 // sinks that turned into real bugs in this repo's history (the StartUntil
-// relative-tick overflow, the handleRun/handleInput/Replay delay wraps):
+// relative-tick overflow, the handleRun and Replay delay wraps):
 //
 //   - a narrowing or sign-changing integer conversion (uint64→int,
 //     int→int32, int→uint32, ...), where an overlarge or negative value
@@ -36,7 +36,7 @@ var BoundConvPackages = []string{
 // A guard is an ordered comparison (<, <=, >, >=) mentioning the value (or
 // the exact field path) earlier in the same function, or passing the value
 // (or its root) through a function whose name contains valid/check/verify
-// — the repo's validator idiom (Params.Validate, sim.InjectChecked). The
+// — the repo's validator idiom (Params.Validate, Engine.InjectChecked). The
 // analysis is call-graph aware: per-function summaries record which
 // parameters flow unguarded into a sink, so taint reaching a conversion
 // through a helper (even in another package) is reported at the

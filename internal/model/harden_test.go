@@ -143,7 +143,7 @@ func ckptEngine(t *testing.T) *chip.Model {
 
 // snapshot renders everything a checkpoint restores — Tick(), NoC() and
 // every populated core's SaveState — as the checkpoint's own bytes.
-func snapshot(t *testing.T, eng CheckpointableEngine) []byte {
+func snapshot(t *testing.T, eng sim.Engine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, eng); err != nil {
@@ -154,7 +154,7 @@ func snapshot(t *testing.T, eng CheckpointableEngine) []byte {
 
 // rejectUntouched asserts ReadCheckpoint refuses input and leaves eng
 // bit-identical to before the attempt, and returns the refusal.
-func rejectUntouched(t *testing.T, eng CheckpointableEngine, input []byte, what string) error {
+func rejectUntouched(t *testing.T, eng sim.Engine, input []byte, what string) error {
 	t.Helper()
 	before := snapshot(t, eng)
 	err := ReadCheckpoint(bytes.NewReader(input), eng)

@@ -338,20 +338,11 @@ func readTarget(r io.Reader) (core.Target, error) {
 	return t, nil
 }
 
-// CheckpointableEngine is an engine that supports bit-exact suspend and
-// resume. Both kernel expressions implement it.
-type CheckpointableEngine interface {
-	sim.Engine
-	Cores() []*core.Core
-	SetClock(tick uint64)
-	SetNoC(sim.NoCStats)
-}
-
 // WriteCheckpoint snapshots a running engine: the tick, aggregate NoC
 // statistics, and every populated core's runtime state. Pending external
 // injections queued beyond the 15-tick delay horizon are not part of the
 // snapshot; checkpoint between frames, not mid-frame.
-func WriteCheckpoint(w io.Writer, eng CheckpointableEngine) error {
+func WriteCheckpoint(w io.Writer, eng sim.Engine) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(checkpointMagic[:]); err != nil {
 		return err
@@ -396,7 +387,7 @@ func WriteCheckpoint(w io.Writer, eng CheckpointableEngine) error {
 // and every potential must lie in [neuron.VMin, neuron.VMax], so a
 // truncated or malformed snapshot returns an error and leaves eng
 // untouched.
-func ReadCheckpoint(r io.Reader, eng CheckpointableEngine) error {
+func ReadCheckpoint(r io.Reader, eng sim.Engine) error {
 	br := bufio.NewReader(r)
 	var magic [7]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {

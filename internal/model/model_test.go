@@ -104,52 +104,6 @@ func TestReadModelRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCheckpointResumeSameEngine(t *testing.T) {
-	mesh, configs := testNetwork(t)
-	ref, err := chip.New(mesh, configs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Run(100)
-	var ckpt bytes.Buffer
-	if err := WriteCheckpoint(&ckpt, ref); err != nil {
-		t.Fatal(err)
-	}
-	ref.Run(150)
-	want := ref.Counters()
-	wantOut := ref.DrainOutputs()
-
-	resumed, err := chip.New(mesh, configs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadCheckpoint(bytes.NewReader(ckpt.Bytes()), resumed); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Tick() != 100 {
-		t.Fatalf("resumed tick = %d, want 100", resumed.Tick())
-	}
-	resumed.DrainOutputs() // discard pre-checkpoint outputs (none: fresh engine)
-	resumed.Run(150)
-	if got := resumed.Counters(); got != want {
-		t.Fatalf("resumed counters %+v, want %+v", got, want)
-	}
-	// Outputs after the checkpoint must match the reference's tail.
-	got := resumed.DrainOutputs()
-	tail := wantOut
-	for len(tail) > 0 && tail[0].Tick < 100 {
-		tail = tail[1:]
-	}
-	if len(got) != len(tail) {
-		t.Fatalf("resumed outputs %d, want %d", len(got), len(tail))
-	}
-	for i := range got {
-		if got[i] != tail[i] {
-			t.Fatalf("output %d: %+v vs %+v", i, got[i], tail[i])
-		}
-	}
-}
-
 func TestCheckpointCrossEngine(t *testing.T) {
 	// Suspend on the silicon model, resume on Compass: the two expressions
 	// share identical state semantics, so the continuation is bit-exact.
@@ -255,7 +209,3 @@ func TestCheckpointMismatchedTopology(t *testing.T) {
 		t.Fatal("topology-mismatched checkpoint accepted")
 	}
 }
-
-var _ CheckpointableEngine = (*chip.Model)(nil)
-var _ CheckpointableEngine = (*compass.Sim)(nil)
-var _ sim.Engine = CheckpointableEngine(nil)

@@ -201,9 +201,9 @@ func TestStartPauseResumeWait(t *testing.T) {
 
 // TestOverloadedPacedSessionStaysControllable pins the regression where a
 // paced session whose host cannot sustain the requested rate stopped
-// polling commands and inputs: with the per-tick compute exceeding the
-// period, the session was never ahead of schedule, so Pause (and Close
-// behind it) starved forever. At 1e9 Hz every tick is behind schedule by
+// polling commands: with the per-tick compute exceeding the period, the
+// session was never ahead of schedule, so Pause (and Close behind it)
+// starved forever. At 1e9 Hz every tick is behind schedule by
 // construction.
 func TestOverloadedPacedSessionStaysControllable(t *testing.T) {
 	ctx := context.Background()
@@ -212,8 +212,6 @@ func TestOverloadedPacedSessionStaysControllable(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond) // let the session fall behind schedule
-	// Streamed inputs must still be consumed between ticks.
-	s.Inputs() <- spikeio.Event{Tick: ^uint64(0) - 1, ID: spikeio.Encode(0, 0, 0)}
 	done := make(chan error, 1)
 	go func() {
 		_, err := s.Pause(ctx)
@@ -226,22 +224,6 @@ func TestOverloadedPacedSessionStaysControllable(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Pause starved by an overloaded paced run")
-	}
-	// The streamed event's delay is far out of range, so its consumption
-	// is visible as a dropped-input count.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := s.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.DroppedInputs == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("streamed input never consumed (dropped = %d)", st.DroppedInputs)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -358,9 +340,11 @@ func TestStreamingInputsAndSubscribe(t *testing.T) {
 	if err := s.Start(0); err != nil { // unbounded run
 		t.Fatal(err)
 	}
-	// Stream an input for absolute tick 50 — 100 ms of pacing away, far
-	// beyond the session's input-consumption latency.
-	s.Inputs() <- spikeio.Event{Tick: 50, ID: spikeio.Encode(0, 0, 0)}
+	// Inject an input for absolute tick 50 — 100 ms of pacing away, far
+	// beyond the session's command latency.
+	if dropped, err := s.InjectEvents(ctx, []spikeio.Event{{Tick: 50, ID: spikeio.Encode(0, 0, 0)}}); err != nil || dropped != 0 {
+		t.Fatalf("InjectEvents: %d dropped, %v", dropped, err)
+	}
 	select {
 	case o, ok := <-sub:
 		if !ok {
@@ -370,7 +354,7 @@ func TestStreamingInputsAndSubscribe(t *testing.T) {
 			t.Fatalf("streamed spike = %+v, want {51 7}", o)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("streamed input never produced a streamed output")
+		t.Fatal("injected input never produced a streamed output")
 	}
 	if _, err := s.Pause(ctx); err != nil {
 		t.Fatal(err)
@@ -386,81 +370,6 @@ func TestStreamingInputsAndSubscribe(t *testing.T) {
 	}
 	if len(out) != 1 || out[0].Tick != 51 {
 		t.Fatalf("drain = %v, want the tick-51 spike", out)
-	}
-}
-
-func TestPastTickStreamedInputsAreCounted(t *testing.T) {
-	ctx := context.Background()
-	s := newSession(t)
-	if err := s.Run(ctx, 10); err != nil {
-		t.Fatal(err)
-	}
-	s.Inputs() <- spikeio.Event{Tick: 3, ID: spikeio.Encode(0, 0, 0)}
-	// The session consumes inputs while idle; poll until the counter moves.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := s.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.DroppedInputs == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("dropped-input counter = %d, want 1", st.DroppedInputs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestOverflowingStreamedInputsAreCounted(t *testing.T) {
-	ctx := context.Background()
-	s := newSession(t)
-	if err := s.Run(ctx, 10); err != nil {
-		t.Fatal(err)
-	}
-	const now = uint64(10)
-	in := s.Inputs()
-	// The session consumes the channel in order: the largest representable
-	// delivery delta must be accepted, the two events behind it dropped —
-	// one for overflowing the int delay conversion, one for being in the
-	// past.
-	in <- spikeio.Event{Tick: now + uint64(math.MaxInt), ID: spikeio.Encode(0, 0, 0)}
-	in <- spikeio.Event{Tick: now + uint64(math.MaxInt) + 1, ID: spikeio.Encode(0, 0, 0)}
-	in <- spikeio.Event{Tick: 3, ID: spikeio.Encode(0, 0, 0)}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := s.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.DroppedInputs == 2 {
-			break
-		}
-		if st.DroppedInputs > 2 {
-			t.Fatalf("dropped-input counter = %d: the max-delta event was rejected", st.DroppedInputs)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("dropped-input counter = %d, want 2", st.DroppedInputs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// FIFO consumption means a counter of 2 with the max-delta event
-	// accepted is final; if that event had been dropped too, the counter
-	// would move on to 3 — give it a moment to prove it stays put.
-	for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); {
-		st, err := s.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.DroppedInputs != 2 {
-			t.Fatalf("dropped-input counter moved to %d", st.DroppedInputs)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The overflowing event must not have corrupted the scheduler.
-	if err := s.Run(ctx, 5); err != nil {
-		t.Fatal(err)
 	}
 }
 

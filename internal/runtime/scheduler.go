@@ -532,20 +532,11 @@ func (s *Session) wake() {
 	}
 }
 
-// hasPending reports queued commands or watcher-delivered input events —
-// the "someone is waiting between ticks" signal the stepping loops poll.
-func (s *Session) hasPending() bool {
-	if len(s.cmds) > 0 {
-		return true
-	}
-	s.pendMu.Lock()
-	n := len(s.pendIn)
-	s.pendMu.Unlock()
-	return n > 0
-}
+// hasPending reports queued commands — the "someone is waiting between
+// ticks" signal the stepping loops poll.
+func (s *Session) hasPending() bool { return len(s.cmds) > 0 }
 
-// drainPending executes the commands queued when it starts and delivers
-// every pending streamed input. Stopping at the commands already queued
+// drainPending executes the commands queued when it starts. Stopping there
 // keeps a client that never pauses from pinning the worker; one that
 // arrives meanwhile found the session Running, so its wake requeues the
 // session (and the stepping loops poll hasPending between ticks).
@@ -554,30 +545,6 @@ func (s *Session) drainPending() {
 	// the n queued commands cannot block.
 	for n := len(s.cmds); n > 0; n-- {
 		(<-s.cmds)()
-	}
-	s.pendMu.Lock()
-	evs := s.pendIn
-	s.pendIn = nil
-	s.pendMu.Unlock()
-	for _, e := range evs {
-		s.handleInput(e)
-	}
-}
-
-// watchInputs moves streamed Inputs() events into the pending buffer and
-// wakes the session. It is started lazily by the first Inputs() call and
-// exits when the session closes.
-func (s *Session) watchInputs() {
-	for {
-		select {
-		case e := <-s.inputs:
-			s.pendMu.Lock()
-			s.pendIn = append(s.pendIn, e)
-			s.pendMu.Unlock()
-			s.wake()
-		case <-s.done:
-			return
-		}
 	}
 }
 
@@ -596,7 +563,7 @@ func (s *Session) shutdown() {
 	}
 }
 
-// service is one scheduler dispatch: drain pending commands and inputs,
+// service is one scheduler dispatch: drain pending commands,
 // then step whatever ticks are runnable, and report how the session should
 // be re-scheduled. It runs with exclusive ownership of the session (the
 // worker holds Running state), preserving the engine's single-threaded

@@ -39,7 +39,6 @@ type SessionInfo struct {
 	GSOPSPerWatt float64 `json:"gsops_per_watt"`
 
 	PendingOutputs int    `json:"pending_outputs"`
-	DroppedInputs  uint64 `json:"dropped_inputs"`
 	DroppedStream  uint64 `json:"dropped_stream"`
 
 	CheckpointTick      uint64 `json:"checkpoint_tick,omitempty"`
@@ -76,7 +75,6 @@ func (se *session) info(r *http.Request) (SessionInfo, error) {
 		GSOPSPerWatt: st.GSOPSPerWatt,
 
 		PendingOutputs: st.PendingOutputs,
-		DroppedInputs:  st.DroppedInputs,
 		DroppedStream:  st.DroppedStream,
 
 		CheckpointTick:      st.CheckpointTick,
@@ -502,7 +500,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "truenorth_session_power_watts{%s} %g\n", l, st.PowerW)
 		fmt.Fprintf(w, "truenorth_session_gsops_per_watt{%s} %g\n", l, st.GSOPSPerWatt)
 		fmt.Fprintf(w, "truenorth_session_pending_outputs{%s} %d\n", l, st.PendingOutputs)
-		fmt.Fprintf(w, "truenorth_session_dropped_inputs_total{%s} %d\n", l, st.DroppedInputs)
 		fmt.Fprintf(w, "truenorth_session_dropped_stream_total{%s} %d\n", l, st.DroppedStream)
 	}
 }

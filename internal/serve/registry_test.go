@@ -9,20 +9,19 @@ import (
 
 // TestErrorCodeRegistry pins the code↔status contract the apienvelope
 // analyzer enforces statically and the apisurface golden publishes:
-// exactly nine stable codes, each mapped to its canonical status exactly
+// exactly eight stable codes, each mapped to its canonical status exactly
 // once in either direction, and every one emitted through the same
 // `{"error":{code,message}}` envelope.
 func TestErrorCodeRegistry(t *testing.T) {
 	want := map[string]int{
-		codeInvalidRequest:  http.StatusBadRequest,
-		codeNotFound:        http.StatusNotFound,
-		codeBusy:            http.StatusConflict,
-		codeSessionClosed:   http.StatusGone,
-		codeBodyTooLarge:    http.StatusRequestEntityTooLarge,
-		codeSaturated:       http.StatusTooManyRequests,
-		codeCkptUnsupported: http.StatusNotImplemented,
-		codeShuttingDown:    http.StatusServiceUnavailable,
-		codeInternal:        http.StatusInternalServerError,
+		codeInvalidRequest: http.StatusBadRequest,
+		codeNotFound:       http.StatusNotFound,
+		codeBusy:           http.StatusConflict,
+		codeSessionClosed:  http.StatusGone,
+		codeBodyTooLarge:   http.StatusRequestEntityTooLarge,
+		codeSaturated:      http.StatusTooManyRequests,
+		codeShuttingDown:   http.StatusServiceUnavailable,
+		codeInternal:       http.StatusInternalServerError,
 	}
 	if len(codeStatus) != len(want) {
 		t.Fatalf("registry has %d codes, want %d", len(codeStatus), len(want))

@@ -34,10 +34,9 @@
 //
 // with stable codes: invalid_request (400), not_found (404), busy (409),
 // session_closed (410), body_too_large (413), saturated (429, with
-// Retry-After), checkpoint_unsupported (501), shutting_down (503, with
-// Retry-After), internal (500). "saturated" is the admission-control
-// signal: the server is at its session cap or aggregate ticks/sec budget;
-// shed load or retry later.
+// Retry-After), shutting_down (503, with Retry-After), internal (500).
+// "saturated" is the admission-control signal: the server is at its
+// session cap or aggregate ticks/sec budget; shed load or retry later.
 //
 // Model admission is gated exactly like tnsim: loaded model files and
 // output-tapped generated networks verify under
@@ -71,15 +70,14 @@ import (
 // envelope). These are API: clients dispatch on them, so changing one is
 // a breaking change.
 const (
-	codeInvalidRequest  = "invalid_request"        // 400: malformed body, bad field, bad model
-	codeNotFound        = "not_found"              // 404: unknown session id
-	codeBusy            = "busy"                   // 409: operation conflicts with an in-flight run
-	codeSessionClosed   = "session_closed"         // 410: session was closed
-	codeBodyTooLarge    = "body_too_large"         // 413: request exceeded the size limit
-	codeSaturated       = "saturated"              // 429: admission control refused the load
-	codeCkptUnsupported = "checkpoint_unsupported" // 501: engine has no checkpoint support
-	codeShuttingDown    = "shutting_down"          // 503: server is draining
-	codeInternal        = "internal"               // 500: unexpected server-side failure
+	codeInvalidRequest = "invalid_request" // 400: malformed body, bad field, bad model
+	codeNotFound       = "not_found"       // 404: unknown session id
+	codeBusy           = "busy"            // 409: operation conflicts with an in-flight run
+	codeSessionClosed  = "session_closed"  // 410: session was closed
+	codeBodyTooLarge   = "body_too_large"  // 413: request exceeded the size limit
+	codeSaturated      = "saturated"       // 429: admission control refused the load
+	codeShuttingDown   = "shutting_down"   // 503: server is draining
+	codeInternal       = "internal"        // 500: unexpected server-side failure
 )
 
 // codeStatus is the single source of truth for the code↔status mapping:
@@ -88,15 +86,14 @@ const (
 // apisurface golden pins it, and the README error table is generated from
 // it, so the mapping cannot fork per call site or drift out of the docs.
 var codeStatus = map[string]int{
-	codeInvalidRequest:  http.StatusBadRequest,
-	codeNotFound:        http.StatusNotFound,
-	codeBusy:            http.StatusConflict,
-	codeSessionClosed:   http.StatusGone,
-	codeBodyTooLarge:    http.StatusRequestEntityTooLarge,
-	codeSaturated:       http.StatusTooManyRequests,
-	codeCkptUnsupported: http.StatusNotImplemented,
-	codeShuttingDown:    http.StatusServiceUnavailable,
-	codeInternal:        http.StatusInternalServerError,
+	codeInvalidRequest: http.StatusBadRequest,
+	codeNotFound:       http.StatusNotFound,
+	codeBusy:           http.StatusConflict,
+	codeSessionClosed:  http.StatusGone,
+	codeBodyTooLarge:   http.StatusRequestEntityTooLarge,
+	codeSaturated:      http.StatusTooManyRequests,
+	codeShuttingDown:   http.StatusServiceUnavailable,
+	codeInternal:       http.StatusInternalServerError,
 }
 
 // Config tunes a Server.
@@ -661,8 +658,6 @@ func statusCodeOf(err error) (int, string) {
 		return http.StatusConflict, codeBusy
 	case errors.Is(err, runtime.ErrClosed):
 		return http.StatusGone, codeSessionClosed
-	case errors.Is(err, runtime.ErrNoCheckpoint):
-		return http.StatusNotImplemented, codeCkptUnsupported
 	case errors.Is(err, runtime.ErrSaturated):
 		return http.StatusTooManyRequests, codeSaturated
 	case errors.Is(err, runtime.ErrSchedulerClosed):

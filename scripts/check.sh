@@ -97,7 +97,7 @@ fi
 # what the linter just rendered (the golden test also enforces this; here
 # the mismatch shows up in the artifact diff too).
 if [ -n "$report_dir" ] && ! diff -u internal/lint/testdata/lockorder/hierarchy.golden "$report_dir/lockorder.txt" >"$report_dir/lockorder.diff" 2>&1; then
-	echo "check.sh: lock-order hierarchy drifted from testdata/lockorder/hierarchy.golden (see lockorder.diff artifact)" >&2
+	echo "check.sh: lock-order hierarchy drifted from testdata/lockorder/hierarchy.golden (see lockorder.diff artifact; re-bless with make lockorder-update)" >&2
 	exit 1
 fi
 # Same belt-and-suspenders for the API surface: the checked-in v1 golden
