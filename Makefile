@@ -57,7 +57,7 @@ verify-models:
 	go run ./cmd/tnverify -sweep-grid 4 -sweep-every 1 -assume-inputs=false -v
 
 race:
-	go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/...
+	go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/... ./internal/netgen/...
 
 # The dynamic complement to the lockorder/chanflow/wgsafe analyzers: the
 # four concurrency packages under -race, -count=3, at GOMAXPROCS 1, 2, and

@@ -1,5 +1,6 @@
 // Kernel benchmarks: the per-tick allocation budget scripts/allocs_gate.sh
-// enforces and the paper's worst-case saturation stress. The paper's
+// enforces, the paper's worst-case saturation stress and the stages of
+// building a model. The paper's
 // tables and figures are regenerated by cmd/tnexp (see DESIGN.md §4).
 package truenorth_test
 
@@ -11,6 +12,7 @@ import (
 	"truenorth/internal/compass"
 	"truenorth/internal/energy"
 	"truenorth/internal/experiments"
+	"truenorth/internal/modelcheck"
 	"truenorth/internal/netgen"
 	"truenorth/internal/router"
 	"truenorth/internal/sim"
@@ -83,4 +85,50 @@ func BenchmarkKernelWorstCase(b *testing.B) {
 	l = experiments.ScaleLoadToChip(l, router.Mesh{W: 4, H: 4})
 	b.ReportMetric(l.SynEvents, "full-chip-synops/tick")
 	b.ReportMetric(energy.TrueNorth().MaxTickHz(l, 0.75), "modeled-max-Hz")
+}
+
+// BenchmarkModelSetup times the stages every batch set-up and every netgen
+// session create pays before its first tick, one sub-benchmark each, on the
+// model of the benchmark's batch_dense workload (16×16 cores, 150 Hz × 256
+// synapses, every 64th neuron tapped): netgen.Build, modelcheck.Verify as
+// the tools run it on a tapped model, and the two engine constructors.
+// netgen.Build fans out over GOMAXPROCS, so `-cpu 1,2` shows the split at
+// one and at two threads.
+func BenchmarkModelSetup(b *testing.B) {
+	grid := router.Mesh{W: 16, H: 16}
+	p := netgen.Params{Grid: grid, RateHz: 150, SynPerNeuron: 256, Seed: 20140613, OutputEvery: 64}
+	configs, err := netgen.Build(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("netgen", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := netgen.Build(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("verify", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := modelcheck.Verify(grid, configs, modelcheck.Options{AssumeExternalInput: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("chip.New", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := chip.New(grid, configs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("compass.New", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng, err := compass.New(grid, configs, sim.WithWorkers(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.Close()
+		}
+	})
 }

@@ -11,14 +11,15 @@ import (
 
 // ConcurrencyPackages are the goroutine-heavy packages the concurrency
 // analyzers (goctx, lockorder, chanflow, wgsafe) gate: the session driver,
-// the HTTP serving layer, the parallel Compass engine, and the engine
-// substrate. The scale-out roadmap items (sharded engines, batched session
-// scheduling) all land inside this set.
+// the HTTP serving layer, the parallel Compass engine, the engine
+// substrate, and netgen's parallel build. The scale-out roadmap items
+// (sharded engines, batched session scheduling) all land inside this set.
 var ConcurrencyPackages = []string{
 	Module + "/internal/runtime",
 	Module + "/internal/serve",
 	Module + "/internal/compass",
 	Module + "/internal/sim",
+	Module + "/internal/netgen",
 }
 
 // pathMatches reports whether path is in patterns, honoring the same

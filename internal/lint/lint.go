@@ -121,6 +121,13 @@ var KernelPackages = []string{
 	Module + "/examples/...",
 }
 
+// FanOutPackages are the kernel packages whose one-off construction may fan
+// out over goroutines (ticksafe rule 1): netgen builds a network's cores in
+// parallel, each from its own place in the frozen construction stream.
+var FanOutPackages = []string{
+	Module + "/internal/netgen",
+}
+
 // ArithmeticPackages hold the floating-point neuron/energy arithmetic that
 // floatcmp guards.
 var ArithmeticPackages = []string{

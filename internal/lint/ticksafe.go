@@ -14,7 +14,10 @@ import (
 // enforces three rules, and is the suite's one owner of `go` statements on
 // the tick path:
 //
-//  1. No goroutine launches in kernel packages outside internal/compass.
+//  1. No goroutine launches in kernel packages outside internal/compass,
+//     except a construction fan-out in FanOutPackages: an inline func
+//     literal, launched outside every per-tick hot function, that writes
+//     captured state only through indexed slots (rule 3).
 //  2. In internal/compass, every `go` statement is a pool worker: an inline
 //     func literal whose body is one `for … range ch` loop over a channel
 //     that calls Done() once per iteration. Closing ch is its shutdown arm.
@@ -44,6 +47,7 @@ func TickSafe() *Analyzer {
 
 func runTickSafe(pkg *Package, report ReportFunc) {
 	inCompass := pkg.Path == Module+"/internal/compass"
+	inFanOut := pathMatches(FanOutPackages, pkg.Path)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			hot := ""
@@ -56,7 +60,19 @@ func runTickSafe(pkg *Package, report ReportFunc) {
 					return true
 				}
 				if !inCompass {
-					report(g.Pos(), "goroutine launch in kernel package %s; parallelism is sanctioned only in the Compass engine", pkg.Path)
+					if !inFanOut {
+						report(g.Pos(), "goroutine launch in kernel package %s; parallelism is sanctioned only in the Compass engine and construction fan-outs", pkg.Path)
+						return true
+					}
+					fl, ok := g.Call.Fun.(*ast.FuncLit)
+					switch {
+					case !ok:
+						report(g.Pos(), "construction fan-out must be an inline func literal")
+					case hot != "":
+						report(g.Pos(), "construction fan-out launched inside per-tick hot function %s", hot)
+					default:
+						checkWorkerWrites(fl, report)
+					}
 					return true
 				}
 				fl, ok := g.Call.Fun.(*ast.FuncLit)

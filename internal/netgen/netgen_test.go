@@ -11,6 +11,7 @@ import (
 	"truenorth/internal/compass"
 	"truenorth/internal/core"
 	"truenorth/internal/energy"
+	"truenorth/internal/model"
 	"truenorth/internal/router"
 	"truenorth/internal/sim"
 )
@@ -420,6 +421,55 @@ func TestBuildGolden(t *testing.T) {
 		}
 		if got := configsDigest(t, cfgs); got != tc.want {
 			t.Errorf("%s: Build digest = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestBuildFanOutMatchesInOrder holds the parallel build to the in-order
+// one (workers = 1) by the SHA-256 of the model file, on every grid shape
+// and parameter family the fan-out treats differently: silent (no
+// initial-potential draw), stochastic, driven, tapped, and local (built in
+// order at any worker count). A wrong draws-per-core count sends every
+// worker's first core to the in-order rebuild, which must give the same
+// bytes; the build is checked at 2, 3, 5 and 8 workers, the wrong count at
+// 3.
+func TestBuildFanOutMatchesInOrder(t *testing.T) {
+	variants := []struct {
+		name string
+		p    Params
+	}{
+		{"silent", Params{SynPerNeuron: 64, Seed: 3}},
+		{"stochastic", Params{RateHz: 40, SynPerNeuron: 128, Seed: 5, Stochastic: true}},
+		{"driven", Params{RateHz: 10, SynPerNeuron: 32, Seed: 7, DrivenFraction: 0.875}},
+		{"tapped", Params{RateHz: 150, SynPerNeuron: 256, Seed: 11, OutputEvery: 64}},
+		{"local", Params{RateHz: 50, SynPerNeuron: 40, Seed: 13, Locality: 0.5}},
+	}
+	digest := func(p Params, workers int, perCore uint64) string {
+		t.Helper()
+		cfgs, err := build(p, workers, perCore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := model.WriteModel(h, p.Grid, cfgs); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	for _, grid := range []router.Mesh{{W: 1, H: 1}, {W: 3, H: 1}, {W: 4, H: 4}, {W: 5, H: 7}} {
+		for _, v := range variants {
+			p := v.p
+			p.Grid = grid
+			perCore := drawsPerCore(p)
+			want := digest(p, 1, perCore)
+			for _, workers := range []int{2, 3, 5, 8} {
+				if got := digest(p, workers, perCore); got != want {
+					t.Errorf("%s %dx%d: %d workers give %s, in order %s", v.name, grid.W, grid.H, workers, got, want)
+				}
+			}
+			if got := digest(p, 3, perCore+1); got != want {
+				t.Errorf("%s %dx%d: a wrong draw count gives %s, in order %s", v.name, grid.W, grid.H, got, want)
+			}
 		}
 	}
 }

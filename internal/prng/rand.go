@@ -27,14 +27,25 @@ func NewRand(seed int64) *Rand {
 // Seed resets the generator state.
 func (r *Rand) Seed(seed int64) { r.state = uint64(seed) }
 
+// gamma is SplitMix64's state increment: the state after n draws is the
+// seed plus n·gamma (mod 2⁶⁴).
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits (SplitMix64).
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// Jump advances the generator by n draws at once: afterwards it is where n
+// calls of Uint64 would have left it. The state is a counter stepped by
+// gamma, so every position of the stream is one multiply away — the stream
+// is random-access, which lets netgen build cores in parallel, each from
+// its own place in the one frozen stream.
+func (r *Rand) Jump(n uint64) { r.state += n * gamma }
 
 // Int63 returns a non-negative 63-bit pseudo-random integer.
 func (r *Rand) Int63() int64 {

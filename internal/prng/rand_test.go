@@ -203,3 +203,29 @@ func TestRandDrawsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestJumpEqualsDraws holds Jump(n) to n calls of Uint64: the state after
+// both, and the draw after both, must be equal. 2⁴⁰ draws are too many to
+// make, so that n is checked as 2²⁰ jumps of 2²⁰, the n checked against
+// 2²⁰ draws in the first loop.
+func TestJumpEqualsDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 255, 65793, 1 << 20} {
+		seed := int64(n)*7 - 3
+		drawn, jumped := NewRand(seed), NewRand(seed)
+		for i := uint64(0); i < n; i++ {
+			drawn.Uint64()
+		}
+		jumped.Jump(n)
+		if *drawn != *jumped || drawn.Uint64() != jumped.Uint64() {
+			t.Fatalf("Jump(%d) differs from %d draws", n, n)
+		}
+	}
+	stepped, jumped := NewRand(46), NewRand(46)
+	for i := 0; i < 1<<20; i++ {
+		stepped.Jump(1 << 20)
+	}
+	jumped.Jump(1 << 40)
+	if *stepped != *jumped || stepped.Uint64() != jumped.Uint64() {
+		t.Fatal("Jump(2⁴⁰) differs from 2²⁰ jumps of 2²⁰ draws")
+	}
+}

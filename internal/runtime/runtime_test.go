@@ -227,6 +227,64 @@ func TestOverloadedPacedSessionStaysControllable(t *testing.T) {
 	}
 }
 
+// stepHook is an engine that runs hook before it steps tick at.
+type stepHook struct {
+	sim.Engine
+	at   uint64
+	hook func()
+}
+
+func (e *stepHook) Step() {
+	if e.Tick() == e.at && e.hook != nil {
+		e.hook()
+	}
+	e.Engine.Step()
+}
+
+// TestCommandAnsweredBetweenTicks bounds one command's latency in a long
+// free run: a Pause queued while tick 10 is stepped is answered in the next
+// gap between ticks, not when the dispatch's 256-tick pass or its 2 ms
+// service budget runs out. Tick 10 is held until the Pause is in the
+// command queue, so the bound does not depend on goroutine scheduling.
+func TestCommandAnsweredBetweenTicks(t *testing.T) {
+	leakcheck.Check(t)
+	const at = 10
+	eng := &stepHook{Engine: relayEngine(t), at: at}
+	s, err := rt.New(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	type answer struct {
+		tick uint64
+		err  error
+	}
+	paused := make(chan answer, 1)
+	eng.hook = func() {
+		go func() {
+			tick, err := s.Pause(context.Background())
+			paused <- answer{tick, err}
+		}()
+		for deadline := time.Now().Add(10 * time.Second); s.QueuedCommands() == 0 && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+	if err := s.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-paused:
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.tick > at+2 {
+			t.Fatalf("Pause queued during tick %d answered at tick %d, want at most %d", at, a.tick, at+2)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Pause not answered")
+	}
+}
+
 func TestStartUntil(t *testing.T) {
 	ctx := context.Background()
 	s := newSession(t)

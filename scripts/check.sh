@@ -47,8 +47,9 @@
 #                      hostile bytes never panic, and what they accept is
 #                      in range and runs
 #   9. go test -race — the parallel Compass engine, the cross-engine
-#                      determinism tests, and the session-runtime/serving
-#                      layers under the race detector
+#                      determinism tests, the session-runtime/serving
+#                      layers and netgen's parallel build under the race
+#                      detector
 #  10. allocs gate   — per-tick heap-allocation budgets for both engines,
 #                      ratcheted from both sides (the dynamic complement
 #                      to tnlint's hotalloc and tnproof's goldens)
@@ -144,8 +145,8 @@ for fuzz in FuzzReadModel FuzzReadCheckpoint; do
 	go test -run '^$' -fuzz "^$fuzz\$" -fuzztime 10s ./internal/model
 done
 
-echo "==> go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/..."
-go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/...
+echo "==> go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/... ./internal/netgen/..."
+go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/... ./internal/netgen/...
 
 echo "==> allocs gate (per-tick heap budgets)"
 ./scripts/allocs_gate.sh
