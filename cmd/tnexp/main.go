@@ -47,6 +47,7 @@ import (
 	"truenorth/internal/multichip"
 	"truenorth/internal/netgen"
 	"truenorth/internal/router"
+	"truenorth/internal/sim"
 )
 
 // tables lists every table tnexp prints, in the order -h shows them.
@@ -185,12 +186,12 @@ func fig8Measured(e *env, w io.Writer) error {
 
 // regress reproduces the Section VI-A methodology: the chip model (the
 // "silicon") and the Compass engine run four stochastic recurrent networks
-// on an 8×8 grid for e.ticks ticks, and every counter and NoC statistic
-// must match — "not a single spike mismatch". The match is checked every
-// 1% of the horizon, so a divergence aborts early.
+// on an 8×8 grid for e.ticks ticks in sim.Lockstep, which after every tick
+// compares every core's potentials, delay ring, PRNG and counters, the
+// output spikes and the NoC statistics — "not a single spike mismatch".
+// The first divergence aborts the table and names its tick, core and field.
 func regress(e *env, w io.Writer) error {
 	mesh := router.Mesh{W: 8, H: 8}
-	checkEvery := max(e.ticks/100, 1)
 	nets := []struct {
 		rate float64
 		syn  int
@@ -218,7 +219,7 @@ func regress(e *env, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		err = lockstep(hw, sw, e.ticks, checkEvery)
+		_, err = sim.Lockstep(e.ticks, nil, hw, sw)
 		sw.Close()
 		if err != nil {
 			return fmt.Errorf("net %d: %w", n, err)
@@ -242,23 +243,6 @@ func regress(e *env, w io.Writer) error {
 		Spikes:        full.Spikes / 8,
 		Hops:          full.Hops / 8,
 	}))
-}
-
-// lockstep runs both engines ticks ticks, comparing counters and NoC
-// statistics every checkEvery ticks.
-func lockstep(hw *chip.Model, sw *compass.Sim, ticks, checkEvery int) error {
-	for tick := 0; tick < ticks; tick += checkEvery {
-		n := min(checkEvery, ticks-tick)
-		hw.Run(n)
-		sw.Run(n)
-		if hc, sc := hw.Counters(), sw.Counters(); hc != sc {
-			return fmt.Errorf("MISMATCH at tick %d: chip %+v vs compass %+v", tick+n, hc, sc)
-		}
-		if hn, sn := hw.NoC(), sw.NoC(); hn != sn {
-			return fmt.Errorf("NoC MISMATCH at tick %d: %+v vs %+v", tick+n, hn, sn)
-		}
-	}
-	return nil
 }
 
 func future(_ *env, w io.Writer) error {

@@ -67,16 +67,19 @@ func kick(e sim.Engine, w, h int, seed int64) {
 	}
 }
 
-func spikesEqual(t *testing.T, a, b []sim.OutputSpike, labelA, labelB string) {
+// chipAndCompass builds the silicon model and a Compass of the given worker
+// count on one network.
+func chipAndCompass(t *testing.T, mesh router.Mesh, configs []*core.Config, workers int) (*chip.Model, *Sim) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s emitted %d output spikes, %s emitted %d", labelA, len(a), labelB, len(b))
+	hw, err := chip.New(mesh, configs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("output spike %d differs: %s=%+v %s=%+v", i, labelA, a[i], labelB, b[i])
-		}
+	sw, err := New(mesh, configs, sim.WithWorkers(workers))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return hw, sw
 }
 
 // TestOneToOneEquivalenceRandomNetworks is the paper's Section VI-A
@@ -94,28 +97,11 @@ func TestOneToOneEquivalenceRandomNetworks(t *testing.T) {
 				configs[ci].Targets[n] = core.Target{Valid: true, Output: true, OutputID: int32(ci<<8 | n)}
 			}
 		}
-		mesh := router.Mesh{W: w, H: h}
-
-		hw, err := chip.New(mesh, configs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw, err := New(mesh, configs, sim.WithWorkers(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-
+		hw, sw := chipAndCompass(t, router.Mesh{W: w, H: h}, configs, 4)
 		kick(hw, w, h, seed+100)
 		kick(sw, w, h, seed+100)
-		hw.Run(ticks)
-		sw.Run(ticks)
-
-		spikesEqual(t, hw.DrainOutputs(), sw.DrainOutputs(), "chip", "compass")
-		if hc, sc := hw.Counters(), sw.Counters(); hc != sc {
-			t.Fatalf("seed %d: counters diverge: chip=%+v compass=%+v", seed, hc, sc)
-		}
-		if hn, sn := hw.NoC(), sw.NoC(); hn != sn {
-			t.Fatalf("seed %d: NoC stats diverge: chip=%+v compass=%+v", seed, hn, sn)
+		if _, err := sim.Lockstep(ticks, nil, hw, sw); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if hw.Counters().Spikes == 0 {
 			t.Fatalf("seed %d: network silent; equivalence test is vacuous", seed)
@@ -131,28 +117,20 @@ func TestEquivalenceAcrossWorkerCounts(t *testing.T) {
 	}
 	mesh := router.Mesh{W: w, H: h}
 
-	var ref []sim.OutputSpike
-	var refCnt core.Counters
+	var engines []sim.Arm // 1, 2, 3, 7, 16 and 64 workers
 	for _, workers := range []int{1, 2, 3, 7, 16, 64} {
 		s, err := New(mesh, configs, sim.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		kick(s, w, h, 5)
-		s.Run(ticks)
-		out := s.DrainOutputs()
-		cnt := s.Counters()
-		if ref == nil {
-			ref, refCnt = out, cnt
-			if cnt.Spikes == 0 {
-				t.Fatal("silent network; test is vacuous")
-			}
-			continue
-		}
-		spikesEqual(t, ref, out, "1 worker", "n workers")
-		if cnt != refCnt {
-			t.Fatalf("workers=%d: counters %+v, want %+v", workers, cnt, refCnt)
-		}
+		engines = append(engines, s)
+	}
+	if _, err := sim.Lockstep(ticks, nil, engines...); err != nil {
+		t.Fatal(err)
+	}
+	if engines[0].(*Sim).Counters().Spikes == 0 {
+		t.Fatal("silent network; test is vacuous")
 	}
 }
 
@@ -162,19 +140,13 @@ func TestEquivalenceWithFaults(t *testing.T) {
 	for ci := range configs {
 		configs[ci].Targets[1] = core.Target{Valid: true, Output: true, OutputID: int32(ci)}
 	}
-	mesh := router.Mesh{W: w, H: h}
-	hw, _ := chip.New(mesh, configs)
-	sw, _ := New(mesh, configs, sim.WithWorkers(3))
-	for _, e := range []sim.Engine{hw, sw} {
-		kick(e, w, h, 2)
-	}
+	hw, sw := chipAndCompass(t, router.Mesh{W: w, H: h}, configs, 3)
+	kick(hw, w, h, 2)
+	kick(sw, w, h, 2)
 	hw.DisableCore(3, 3)
 	sw.DisableCore(3, 3)
-	hw.Run(ticks)
-	sw.Run(ticks)
-	spikesEqual(t, hw.DrainOutputs(), sw.DrainOutputs(), "chip", "compass")
-	if hn, sn := hw.NoC(), sw.NoC(); hn != sn {
-		t.Fatalf("NoC stats diverge under faults: chip=%+v compass=%+v", hn, sn)
+	if _, err := sim.Lockstep(ticks, nil, hw, sw); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -186,17 +158,23 @@ func TestRebalancePreservesBehavior(t *testing.T) {
 	}
 	mesh := router.Mesh{W: w, H: h}
 
-	a, _ := New(mesh, configs, sim.WithWorkers(4))
-	b, _ := New(mesh, configs, sim.WithWorkers(4))
+	a, err := New(mesh, configs, sim.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(mesh, configs, sim.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	kick(a, w, h, 3)
 	kick(b, w, h, 3)
-	a.Run(100)
-	b.Run(50)
-	b.Rebalance()
-	b.Run(50)
-	spikesEqual(t, a.DrainOutputs(), b.DrainOutputs(), "no-rebalance", "rebalanced")
-	if ac, bc := a.Counters(), b.Counters(); ac != bc {
-		t.Fatalf("rebalance changed counters: %+v vs %+v", ac, bc)
+	rebalance := func(step int) {
+		if step == 50 {
+			b.Rebalance()
+		}
+	}
+	if _, err := sim.Lockstep(100, rebalance, a, b); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -253,7 +231,10 @@ func TestWorkersClampedToPopulatedCores(t *testing.T) {
 func TestLoadImbalanceReasonable(t *testing.T) {
 	const w, h = 8, 4
 	configs := randomNetwork(w, h, 77)
-	s, _ := New(router.Mesh{W: w, H: h}, configs, sim.WithWorkers(4))
+	s, err := New(router.Mesh{W: w, H: h}, configs, sim.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	kick(s, w, h, 8)
 	s.Run(100)
 	if got := s.LoadImbalance(); got < 1 || got > 4 {
@@ -262,7 +243,10 @@ func TestLoadImbalanceReasonable(t *testing.T) {
 }
 
 func TestInjectInvalidDropped(t *testing.T) {
-	s, _ := New(router.Mesh{W: 2, H: 2}, []*core.Config{core.InertConfig()}, sim.WithWorkers(1))
+	s, err := New(router.Mesh{W: 2, H: 2}, []*core.Config{core.InertConfig()}, sim.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.Inject(9, 9, 0, 0)
 	s.Inject(0, 0, 999, 0)
 	if got := s.NoC().Dropped; got != 2 {
@@ -299,14 +283,9 @@ func TestLongRegressionEquivalence(t *testing.T) {
 	for ci := range configs {
 		configs[ci].Targets[3] = core.Target{Valid: true, Output: true, OutputID: int32(ci)}
 	}
-	mesh := router.Mesh{W: w, H: h}
-	hw, _ := chip.New(mesh, configs)
-	sw, _ := New(mesh, configs, sim.WithWorkers(4))
-	hw.Run(ticks)
-	sw.Run(ticks)
-	spikesEqual(t, hw.DrainOutputs(), sw.DrainOutputs(), "chip", "compass")
-	if hc, sc := hw.Counters(), sw.Counters(); hc != sc {
-		t.Fatalf("counters diverge after %d ticks: %+v vs %+v", ticks, hc, sc)
+	hw, sw := chipAndCompass(t, router.Mesh{W: w, H: h}, configs, 4)
+	if _, err := sim.Lockstep(ticks, nil, hw, sw); err != nil {
+		t.Fatal(err)
 	}
 	if hw.Counters().Spikes == 0 {
 		t.Fatal("silent 10k-tick regression is vacuous")
@@ -315,24 +294,30 @@ func TestLongRegressionEquivalence(t *testing.T) {
 
 func TestPropertyEquivalenceOverRandomNetworks(t *testing.T) {
 	// Property: for ANY generated network, seed, and worker count, the two
-	// kernel expressions agree on every counter after a short run.
+	// kernel expressions agree on every tick of a short run.
 	f := func(seed uint16, workers uint8, stochastic bool) bool {
 		grid := router.Mesh{W: 3, H: 3}
+		n := int(workers%6) + 1
+		fail := func(err error) bool {
+			t.Errorf("seed %d, %d workers, stochastic %t: %v", seed, n, stochastic, err)
+			return false
+		}
 		configs, err := netgenBuild(grid, int64(seed), stochastic)
 		if err != nil {
-			return false
+			return fail(err)
 		}
 		hw, err := chip.New(grid, configs)
 		if err != nil {
-			return false
+			return fail(err)
 		}
-		sw, err := New(grid, configs, sim.WithWorkers(int(workers%6)+1))
+		sw, err := New(grid, configs, sim.WithWorkers(n))
 		if err != nil {
-			return false
+			return fail(err)
 		}
-		hw.Run(60)
-		sw.Run(60)
-		return hw.Counters() == sw.Counters() && hw.NoC() == sw.NoC()
+		if _, err := sim.Lockstep(60, nil, hw, sw); err != nil {
+			return fail(err)
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

@@ -41,7 +41,8 @@
 //     and is reported with its witness chain, and so is a return path that
 //     leaves a lock held with no deferred unlock. The acyclic hierarchy is
 //     checked in as testdata/lockorder/hierarchy.golden and reviewed like a
-//     perfproof budget.
+//     perfproof budget. Only field and package-level mutexes are named: a
+//     double Lock of a local mutex goes unreported (the tree has none).
 //   - chanflow:  channel and blocking discipline — nothing blocks (send,
 //     receive, select without default, time.Sleep, Wait) while a mutex is
 //     held, directly or through any callee; a channel is closed once, by

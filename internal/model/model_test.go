@@ -75,10 +75,8 @@ func TestModelRoundTripRunsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Run(300)
-	b.Run(300)
-	if ac, bc := a.Counters(), b.Counters(); ac != bc {
-		t.Fatalf("decoded model diverges: %+v vs %+v", ac, bc)
+	if _, err := sim.Lockstep(300, nil, a, b); err != nil {
+		t.Fatalf("decoded model diverges: %v", err)
 	}
 	if a.Counters().Spikes == 0 {
 		t.Fatal("silent network; test vacuous")
@@ -117,8 +115,7 @@ func TestCheckpointCrossEngine(t *testing.T) {
 	if err := WriteCheckpoint(&ckpt, hw); err != nil {
 		t.Fatal(err)
 	}
-	hw.Run(120)
-	want := hw.Counters()
+	hw.DrainOutputs() // the checkpoint does not carry undrained outputs
 
 	sw, err := compass.New(mesh, configs, sim.WithWorkers(3))
 	if err != nil {
@@ -127,11 +124,10 @@ func TestCheckpointCrossEngine(t *testing.T) {
 	if err := ReadCheckpoint(bytes.NewReader(ckpt.Bytes()), sw); err != nil {
 		t.Fatal(err)
 	}
-	sw.Run(120)
-	if got := sw.Counters(); got != want {
-		t.Fatalf("cross-engine resume diverged: %+v vs %+v", got, want)
+	if _, err := sim.Lockstep(120, nil, hw, sw); err != nil {
+		t.Fatalf("cross-engine resume diverged: %v", err)
 	}
-	if want.Spikes == 0 {
+	if hw.Counters().Spikes == 0 {
 		t.Fatal("silent network; test vacuous")
 	}
 }
@@ -148,7 +144,7 @@ func TestCheckpointPreservesFaults(t *testing.T) {
 	if err := WriteCheckpoint(&ckpt, a); err != nil {
 		t.Fatal(err)
 	}
-	a.Run(50)
+	a.DrainOutputs() // the checkpoint does not carry undrained outputs
 
 	b, err := chip.New(mesh, configs)
 	if err != nil {
@@ -160,12 +156,8 @@ func TestCheckpointPreservesFaults(t *testing.T) {
 	if !b.Core(2, 1).Disabled {
 		t.Fatal("fault flag lost across checkpoint")
 	}
-	b.Run(50)
-	if ac, bc := a.Counters(), b.Counters(); ac != bc {
-		t.Fatalf("faulted resume diverged: %+v vs %+v", ac, bc)
-	}
-	if an, bn := a.NoC(), b.NoC(); an != bn {
-		t.Fatalf("NoC stats diverged: %+v vs %+v", an, bn)
+	if _, err := sim.Lockstep(50, nil, a, b); err != nil {
+		t.Fatalf("faulted resume diverged: %v", err)
 	}
 }
 

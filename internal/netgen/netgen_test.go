@@ -328,7 +328,7 @@ func TestStochasticNetworkChipCompassEquivalence(t *testing.T) {
 	// The paper: the 88 networks' "rich stochastic dynamics cause spikes to
 	// quickly and chaotically diverge from simulation if the processor
 	// misses even a single neural operation". Run the stochastic variant on
-	// both engines and demand equal counters tick by tick.
+	// both engines in lockstep.
 	grid := router.Mesh{W: 3, H: 3}
 	cfgs, err := Build(Params{Grid: grid, RateHz: 100, SynPerNeuron: 77, Seed: 9, Stochastic: true})
 	if err != nil {
@@ -342,18 +342,11 @@ func TestStochasticNetworkChipCompassEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tick := 0; tick < 250; tick++ {
-		hw.Step()
-		sw.Step()
-		if hc, sc := hw.Counters(), sw.Counters(); hc != sc {
-			t.Fatalf("tick %d: counters diverge: chip %+v vs compass %+v", tick, hc, sc)
-		}
+	if _, err := sim.Lockstep(250, nil, hw, sw); err != nil {
+		t.Fatal(err)
 	}
 	if hw.Counters().Spikes == 0 {
 		t.Fatal("stochastic network silent; equivalence vacuous")
-	}
-	if hn, sn := hw.NoC(), sw.NoC(); hn != sn {
-		t.Fatalf("NoC stats diverge: %+v vs %+v", hn, sn)
 	}
 }
 

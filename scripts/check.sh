@@ -39,9 +39,12 @@
 #                      fuzzer on a 32-bit host, where int is 32 bits and a
 #                      decoded uint32 converted to int can turn negative
 #                      (an amd64 Linux host runs 386 test binaries
-#                      natively); then `GOARCH=s390x` vet and test builds
-#                      of the same packages on a big-endian target, which
-#                      the host cannot run
+#                      natively); the benchmark module's tests on 386 (it
+#                      builds there and its smoke run is correct at 32
+#                      bits; its fingerprints are not compared with the
+#                      amd64 baseline); then `GOARCH=s390x` vet and test
+#                      builds of the same packages on a big-endian target,
+#                      which the host cannot run
 #   8. go test -fuzz — ten seconds each of the model-file and checkpoint
 #                      decoder fuzzers (FuzzReadModel, FuzzReadCheckpoint):
 #                      hostile bytes never panic, and what they accept is
@@ -58,7 +61,9 @@
 #                      byte-identical to batch tnsim runs on both engines
 #  12. tnexp         — the paper's tables from their one entry point:
 #                      the Section VI-A chip<->Compass regression at a
-#                      1,000-tick horizon and the Section VII projections
+#                      1,000-tick horizon (sim.Lockstep: outputs, NoC and
+#                      every core's state compared after every tick) and
+#                      the Section VII projections
 #  13. benchmark     — vet and smoke-test benchmark/, a module of its own
 #                      that root `go build ./...` does not see: it compiles
 #                      against the product's API, so this is where a
@@ -127,12 +132,13 @@ det_pkgs="./internal/core ./internal/neuron ./internal/prng ./internal/router ./
 	./internal/chip ./internal/compass ./internal/model ./internal/spikeio ./internal/netgen
 	./internal/runtime ./internal/serve"
 
-echo "==> GOARCH=386 go vet ./... && GOARCH=386 go test + fuzz (determinism packages)"
+echo "==> GOARCH=386 go vet ./... && GOARCH=386 go test + fuzz (determinism packages) + benchmark tests"
 GOARCH=386 go vet ./...
 GOARCH=386 go test $det_pkgs
 for fuzz in FuzzReadModel FuzzReadCheckpoint; do
 	GOARCH=386 go test -run '^$' -fuzz "^$fuzz\$" -fuzztime 3s ./internal/model
 done
+(cd benchmark && GOARCH=386 go test ./...)
 
 echo "==> GOARCH=s390x go vet && go test -c (determinism packages, build only)"
 GOARCH=s390x go vet $det_pkgs
