@@ -35,11 +35,6 @@ const (
 	Transistors = 5_400_000_000
 )
 
-// TrueNorthMesh is the routing substrate of a single chip.
-func TrueNorthMesh() router.Mesh {
-	return router.Mesh{W: GridW, H: GridH, TileW: GridW, TileH: GridH}
-}
-
 // Model is a functional TrueNorth chip (or multi-chip board: any mesh whose
 // tiles are chips): the engine substrate as a single partition, stepped by one
 // thread that lands each spike as it resolves it. It implements sim.Engine.
@@ -70,11 +65,6 @@ func New(mesh router.Mesh, configs []*core.Config, opts ...sim.Option) (*Model, 
 		return nil, err
 	}
 	return &Model{s}, nil
-}
-
-// NewSingleChip builds a model of one 64×64 TrueNorth chip.
-func NewSingleChip(configs []*core.Config) (*Model, error) {
-	return New(TrueNorthMesh(), configs)
 }
 
 // Step implements sim.Engine: the masked walk over the active cores

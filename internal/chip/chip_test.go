@@ -238,7 +238,7 @@ func TestFullChipSmoke(t *testing.T) {
 		cfg.Targets[0] = tgt
 		configs[i] = cfg
 	}
-	m, err := NewSingleChip(configs)
+	m, err := New(router.Mesh{W: GridW, H: GridH}, configs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func BenchmarkChipStepQuiescent(b *testing.B) {
 	for i := range configs {
 		configs[i] = core.InertConfig()
 	}
-	m, err := NewSingleChip(configs)
+	m, err := New(router.Mesh{W: GridW, H: GridH}, configs)
 	if err != nil {
 		b.Fatal(err)
 	}

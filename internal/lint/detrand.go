@@ -14,8 +14,8 @@ import (
 //
 // With call-graph context (RunWithContext), detrand also taints through
 // helpers: a function in a core kernel package (the explicitly listed
-// entries of KernelPackages, not the cmd/... and examples/... wildcards,
-// whose mains may time things legitimately) that calls a module helper
+// entries of KernelPackages, not the cmd/... wildcard, whose mains may
+// time things legitimately) that calls a module helper
 // which draws from math/rand or reads time.Now is reported at the call
 // site with the witness chain. Callees in packages detrand checks directly
 // are skipped — their own bodies already carry the finding.

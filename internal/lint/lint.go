@@ -103,10 +103,9 @@ const Module = "truenorth"
 // KernelPackages are the packages whose tick-domain behavior must be
 // bitwise deterministic: the two engine expressions and the substrate they
 // share, the core state machine and its parts, everything that constructs
-// or feeds networks, and the entry points that drive them — a `cmd` or
-// example that seeds from the wall clock breaks replayability just as surely
-// as a kernel that does. A trailing "/..." entry matches every package under
-// the prefix.
+// or feeds networks, and the entry points that drive them — a `cmd` that
+// seeds from the wall clock breaks replayability just as surely as a kernel
+// that does. A trailing "/..." entry matches every package under the prefix.
 var KernelPackages = []string{
 	Module + "/internal/chip",
 	Module + "/internal/compass",
@@ -119,7 +118,6 @@ var KernelPackages = []string{
 	Module + "/internal/experiments",
 	Module + "/internal/modelcheck",
 	Module + "/cmd/...",
-	Module + "/examples/...",
 }
 
 // FanOutPackages are the kernel packages whose one-off construction may fan

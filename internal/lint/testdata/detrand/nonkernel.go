@@ -1,5 +1,5 @@
-//lintfixture:package truenorth/internal/apps/lsm
-package lsm
+//lintfixture:package truenorth/internal/apps/hmm
+package hmm
 
 // Non-kernel packages may use math/rand freely: no findings.
 

@@ -31,9 +31,6 @@ type Board struct {
 	TileW, TileH int
 }
 
-// FourByOne is the paper's 4×1 array board (Fig. 1g, Section VII-B).
-func FourByOne() Board { return Board{ChipsX: 4, ChipsY: 1, TileW: chip.GridW, TileH: chip.GridH} }
-
 // FourByFour is the paper's 4×4 array board (Fig. 9, Section VII-C):
 // 16 million neurons and 4 billion synapses.
 func FourByFour() Board { return Board{ChipsX: 4, ChipsY: 4, TileW: chip.GridW, TileH: chip.GridH} }

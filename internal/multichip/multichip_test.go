@@ -24,13 +24,11 @@ func TestBoardGeometry(t *testing.T) {
 	if m.W != 256 || m.H != 256 || m.TileW != 64 || m.TileH != 64 {
 		t.Fatalf("mesh = %+v", m)
 	}
-	if FourByOne().Chips() != 4 {
-		t.Fatal("4×1 board chip count")
-	}
 }
 
 func TestBoundaryLinks(t *testing.T) {
-	if got := FourByOne().boundaryLinks(); got != 3 {
+	fourByOne := Board{ChipsX: 4, ChipsY: 1, TileW: 64, TileH: 64} // Fig. 1g, Section VII-B
+	if got := fourByOne.boundaryLinks(); got != 3 {
 		t.Fatalf("4×1 board has %d internal boundaries, want 3", got)
 	}
 	if got := FourByFour().boundaryLinks(); got != 24 {

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	goruntime "runtime"
 	"testing"
 )
 
@@ -69,5 +71,26 @@ func TestErrorCodeRegistry(t *testing.T) {
 		if got := rec.Header().Get("Retry-After") != ""; got != retryAfter {
 			t.Errorf("writeError(%q) Retry-After present = %v, want %v", code, got, retryAfter)
 		}
+	}
+}
+
+// TestSessionEngineDefaultsToOneWorker: a compass session created without
+// workers gets one pool worker, not GOMAXPROCS, and an explicit count is
+// kept.
+func TestSessionEngineDefaultsToOneWorker(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(4)) // so GOMAXPROCS and 1 differ
+	mesh, configs, err := buildModel(&CreateRequest{Netgen: &NetgenSpec{Grid: 2, RateHz: 20, SynPerNeuron: 64, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ workers, want int }{{0, 1}, {2, 2}} {
+		eng, err := buildEngine("compass", tc.workers, mesh, configs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.(interface{ Workers() int }).Workers(); got != tc.want {
+			t.Errorf("workers %d: engine has %d pool workers, want %d", tc.workers, got, tc.want)
+		}
+		eng.(io.Closer).Close()
 	}
 }

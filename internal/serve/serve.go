@@ -36,7 +36,8 @@
 // session_closed (410), body_too_large (413), saturated (429, with
 // Retry-After), shutting_down (503, with Retry-After), internal (500).
 // "saturated" is the admission-control signal: the server is at its
-// session cap or aggregate ticks/sec budget; shed load or retry later.
+// session cap or aggregate ticks/sec budget, or a session's queue of
+// future injections is full; shed load or retry later.
 //
 // Model admission is gated exactly like tnsim: loaded model files and
 // output-tapped generated networks verify under
@@ -284,7 +285,9 @@ type CreateRequest struct {
 	Name string `json:"name,omitempty"`
 	// Engine picks the execution engine (server default when empty).
 	Engine string `json:"engine,omitempty"`
-	// Workers is passed to the engine (compass: 0 = GOMAXPROCS).
+	// Workers is the engine's worker count (compass; chip ignores it). 0
+	// means one: the scheduler's service pool is the server's parallelism,
+	// so a session gets more only on request.
 	Workers int `json:"workers,omitempty"`
 	// TickRateHz paces the session (1000 = real time; 0 = free-running).
 	TickRateHz float64 `json:"tick_rate_hz,omitempty"`
@@ -298,6 +301,14 @@ type CreateRequest struct {
 	// (rewritten in place — a rolling recovery point).
 	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
 	CheckpointPath  string `json:"checkpoint_path,omitempty"`
+}
+
+// buildEngine builds a session's engine. A request without workers gets
+// one: the scheduler already steps sessions on GOMAXPROCS service workers,
+// and a pool per session on top of that costs CPU without adding
+// throughput.
+func buildEngine(name string, workers int, mesh router.Mesh, configs []*core.Config) (sim.Engine, error) {
+	return sim.NewEngine(name, mesh, configs, sim.WithWorkers(max(workers, 1)))
 }
 
 // buildModel resolves a create request to a verified mesh + configs,
@@ -379,7 +390,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if engine == "" {
 		engine = s.cfg.DefaultEngine
 	}
-	eng, err := sim.NewEngine(engine, mesh, configs, sim.WithWorkers(req.Workers))
+	eng, err := buildEngine(engine, req.Workers, mesh, configs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
 		return
@@ -658,7 +669,7 @@ func statusCodeOf(err error) (int, string) {
 		return http.StatusConflict, codeBusy
 	case errors.Is(err, runtime.ErrClosed):
 		return http.StatusGone, codeSessionClosed
-	case errors.Is(err, runtime.ErrSaturated):
+	case errors.Is(err, runtime.ErrSaturated), errors.Is(err, sim.ErrQueueFull):
 		return http.StatusTooManyRequests, codeSaturated
 	case errors.Is(err, runtime.ErrSchedulerClosed):
 		return http.StatusServiceUnavailable, codeShuttingDown

@@ -965,6 +965,40 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestInjectQueueFloodSaturates fills a session's queue of injections
+// beyond the delay ring: the body that overflows it is refused with
+// saturated, while a spike within the ring still lands.
+func TestInjectQueueFloodSaturates(t *testing.T) {
+	ts := newTestServer(t, serve.Config{})
+	var info serve.SessionInfo
+	req := serve.CreateRequest{Engine: "chip", ModelPath: relayModelPath(t), Force: true}
+	if st := call(t, "POST", ts.URL+"/v1/sessions", req, &info); st != http.StatusCreated {
+		t.Fatalf("create = %d", st)
+	}
+	base := ts.URL + "/v1/sessions/" + info.ID
+	const perBody = 20000 // ≈0.7 MB of JSON, inside the 1 MiB body limit
+	body := serve.InjectRequest{Events: make([]serve.InjectEvent, perBody)}
+	for i := range body.Events {
+		body.Events[i] = serve.InjectEvent{Tick: uint64(core.MaxDelay + 1 + i%100)}
+	}
+	for sent := 0; sent <= sim.MaxQueued; sent += perBody {
+		st, raw, _ := callRaw(t, "POST", base+"/inject", body)
+		if sent+perBody <= sim.MaxQueued {
+			if st != http.StatusOK {
+				t.Fatalf("inject after %d queued = %d (%s)", sent, st, raw)
+			}
+			continue
+		}
+		if st != http.StatusTooManyRequests || errEnvelope(t, raw) != "saturated" {
+			t.Fatalf("inject overflowing the queue = %d (%s), want 429 saturated", st, raw)
+		}
+	}
+	within := serve.InjectRequest{Spikes: []serve.InjectSpike{{Delay: core.MaxDelay}}}
+	if st, raw, _ := callRaw(t, "POST", base+"/inject", within); st != http.StatusOK {
+		t.Fatalf("inject within the delay ring = %d (%s)", st, raw)
+	}
+}
+
 // TestAggregateRateSaturation drives the ticks/sec admission budget: the
 // scheduler refuses creates and re-pacings that would oversubscribe the
 // host's real-time promises.

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -23,7 +24,7 @@ type contractEngine interface {
 	EnableCore(x, y int)
 	Reset(clearCounters bool)
 	PopulatedCores() int
-	QueuedTicks() int
+	QueuedEvents() int
 }
 
 // engineArm is one engine under test: a registered name and a worker count.
@@ -135,8 +136,8 @@ func TestEngineContract(t *testing.T) {
 			e.Inject(0, 0, 0, 40)
 			e.Run(10)
 			e.Reset(true)
-			if e.Tick() != 0 || e.Counters() != (core.Counters{}) || e.NoC() != (sim.NoCStats{}) || e.QueuedTicks() != 0 {
-				t.Fatalf("Reset(true) left tick %d, counters %+v, NoC %+v, %d ticks queued", e.Tick(), e.Counters(), e.NoC(), e.QueuedTicks())
+			if e.Tick() != 0 || e.Counters() != (core.Counters{}) || e.NoC() != (sim.NoCStats{}) || e.QueuedEvents() != 0 {
+				t.Fatalf("Reset(true) left tick %d, counters %+v, NoC %+v, %d injections queued", e.Tick(), e.Counters(), e.NoC(), e.QueuedEvents())
 			}
 			if e.Run(50); len(e.DrainOutputs()) != 0 {
 				t.Fatal("state leaked across Reset")
@@ -157,8 +158,8 @@ func TestEngineContract(t *testing.T) {
 			both.Inject(0, 0, 0, 40)
 			for _, e := range []contractEngine{kept, both} {
 				e.Inject(0, 0, 0, 80)
-				if e.SetClock(50); e.QueuedTicks() != 1 {
-					t.Fatalf("%d ticks queued after the restore, want 1", e.QueuedTicks())
+				if e.SetClock(50); e.QueuedEvents() != 1 {
+					t.Fatalf("%d injections queued after the restore, want 1", e.QueuedEvents())
 				}
 				e.Run(40)
 			}
@@ -166,6 +167,46 @@ func TestEngineContract(t *testing.T) {
 			if len(want) != 1 || want[0].Tick != 82 || len(got) != 1 || got[0] != want[0] {
 				t.Fatalf("outputs %v, want %v at tick 82", got, want)
 			}
+		}},
+		{"InjectionQueueBounded", func(t *testing.T, a engineArm) {
+			// Flood the queue past the delay ring: it takes exactly the
+			// room MaxQueued leaves, after a fill, after a tick's drain,
+			// after a restore's prune and after a Reset.
+			e := chain(t, a, 2)
+			flood := func(when string) {
+				t.Helper()
+				room := sim.MaxQueued - e.QueuedEvents()
+				if room == 0 {
+					t.Fatalf("%s: nothing left the queue", when)
+				}
+				for n := 0; ; n++ {
+					err := e.InjectChecked(0, 0, 0, core.MaxDelay+1+n%100)
+					if err == nil {
+						continue
+					}
+					if !errors.Is(err, sim.ErrQueueFull) || n != room {
+						t.Fatalf("%s: queue refused the injection after %d of %d with %v", when, n, room, err)
+					}
+					break
+				}
+				if got := e.QueuedEvents(); got != sim.MaxQueued {
+					t.Fatalf("%s: %d events queued, want %d", when, got, sim.MaxQueued)
+				}
+			}
+			flood("empty")
+			if err := e.InjectChecked(0, 0, 0, core.MaxDelay); err != nil {
+				t.Fatalf("full queue refused a spike within the ring: %v", err)
+			}
+			e.Inject(0, 0, 0, core.MaxDelay+1)
+			if got := e.NoC().Dropped; got != 1 {
+				t.Fatalf("Inject into a full queue dropped %d spikes, want 1", got)
+			}
+			e.Run(core.MaxDelay + 10) // drains ten ticks
+			flood("after a drain")
+			e.SetClock(e.Tick() + 50) // prunes fifty ticks
+			flood("after a restore")
+			e.Reset(true)
+			flood("after a reset")
 		}},
 		{"CheckpointRoundTrip", func(t *testing.T, a engineArm) {
 			// Checkpoint mid-run, then restore into a fresh engine of the

@@ -7,10 +7,16 @@ import (
 	"truenorth/internal/router"
 )
 
-// QueuedTicks reports how many ticks have injections waiting in the
-// beyond-ring queue, for the engine-contract tests, which reach it through
-// the engines that embed the substrate.
-func (s *Substrate) QueuedTicks() int { return len(s.pending) }
+// QueuedEvents counts the injections waiting in the beyond-ring queue from
+// the queue itself, not from the count the cap reads, for the
+// engine-contract tests, which reach it through the engines that embed the
+// substrate.
+func (s *Substrate) QueuedEvents() (n int) {
+	for _, inj := range s.pending {
+		n += len(inj)
+	}
+	return n
+}
 
 func TestPartitionCoversAllCores(t *testing.T) {
 	configs := make([]*core.Config, 16)

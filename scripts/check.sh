@@ -1,7 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate, run by CI and `make check`:
 #
-#   1. go build      — everything compiles
+#   1. go build      — everything compiles, and every package other than a
+#                      main and the module root is imported by another
+#                      package (its own tests do not count): a package no
+#                      code, test or gate reads is deleted, not kept
 #   2. go vet        — stdlib static analysis; its copylocks check is
 #                      the repo's one owner of sync primitives copied by
 #                      value
@@ -81,6 +84,17 @@ fi
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> orphan packages (no other package imports them)"
+orphans=$(go list -f '{{.ImportPath}} {{.Name}}{{range .Imports}} {{.}}{{end}}{{range .TestImports}} {{.}}{{end}}{{range .XTestImports}} {{.}}{{end}}' ./... |
+	awk -v mod="$(go list -m)" '
+		{ name[$1] = $2; for (i = 3; i <= NF; i++) if ($i != $1) imported[$i] = 1 }
+		END { for (p in name) if (name[p] != "main" && p != mod && !imported[p]) print p }' | sort)
+if [ -n "$orphans" ]; then
+	echo "$orphans"
+	echo "check.sh: packages that no other package imports (delete them, or give them a consumer)" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
